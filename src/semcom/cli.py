@@ -12,8 +12,10 @@ from . import baseline, cspace, encoder, funcomp, harness, scenegen
 from .errors import SemcomError
 
 
-def _snr_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+def _snr_list(text: str) -> tuple[float | None, ...]:
+    """Comma-separated SNRs in dB; ``none`` is the noiseless channel."""
+    return tuple(None if v.strip().lower() == "none" else float(v)
+                 for v in text.split(","))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -76,8 +76,10 @@ _OCTAGON_SLACK_FACTOR = 2.5
 
 
 @functools.lru_cache(maxsize=4)
-def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
-    gx, gy = np.meshgrid(np.arange(size, dtype=float), np.arange(size, dtype=float))
+def _grid(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row coordinates of every pixel of a raster, row-major."""
+    gx, gy = np.meshgrid(np.arange(shape[1], dtype=float),
+                         np.arange(shape[0], dtype=float))
     return gx.ravel(), gy.ravel()
 
 
@@ -102,6 +104,94 @@ def _model_radius(angles: np.ndarray, n: int | None, radius: float,
     return radius * math.cos(math.pi / n) / np.cos(folded)
 
 
+#: Margin added to every pruning bound; the float error of a gauge is about 1e-14.
+_PRUNE_EPS = 1e-9
+
+#: Most (pixel, center, rotation) lower bounds held at once.
+_BOUND_BLOCK = 4096
+
+#: Hill-climb neighbour offsets, in units of the level's step.
+_HILL_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _polygon_slacks(bx: np.ndarray, by: np.ndarray, fx: np.ndarray,
+                    fy: np.ndarray, cx0: float, cy0: float, n: int,
+                    rot_seed: float):
+    """Slack evaluator of the n-gon family for one mask.
+
+    Takes the background pixels of the band and the foreground pixels that
+    can be extreme along a direction; returns slacks(cx, cy, floor), the
+    slack at each center, exact wherever it reaches floor and no larger
+    elsewhere (see _consistency_slack for the bounds it prunes with).
+    """
+    rots = rot_seed + np.arange(36) * (2.0 * math.pi / n / 36)
+    w = 2.0 * math.pi / n
+    normal = (np.arange(n)[:, None] + 0.5) * w + rots  # (normal, rotation)
+    nx = np.cos(normal)
+    ny = np.sin(normal)
+    # per normal, the foreground maximum of <p, n_k> and the pixels at it
+    top_fg = np.empty_like(nx)
+    extreme = np.empty((n, rots.size, fx.size), dtype=bool)
+    for k in range(n):
+        proj = np.multiply.outer(fx, nx[k]) + np.multiply.outer(fy, ny[k])
+        top_fg[k] = proj.max(axis=0)
+        extreme[k] = (proj >= top_fg[k] - _PRUNE_EPS).T
+    # per rotation and background pixel, the normal nearest the pixel as
+    # seen from the centroid
+    r_idx = np.arange(rots.size)[:, None]
+    near = np.arctan2(by - cy0, bx - cx0) - rots[:, None]
+    near = np.floor(near / w).astype(int) % n
+    near_x = nx[near, r_idx]
+    near_y = ny[near, r_idx]
+    del near  # set-up holds as few (rotation, pixel) arrays as it can
+    # per rotation, the background pixel with the lowest bound at the centroid
+    low = (bx - cx0) * near_x
+    low += (by - cy0) * near_y
+    q = low.argmin(axis=1)
+    anchor = bx[q] * nx + by[q] * ny
+    step = max(1, _BOUND_BLOCK // bx.size)
+
+    def slacks(cx, cy, floor):
+        shift = nx[:, None] * cx[:, None] + ny[:, None] * cy[:, None]  # <c, n_k>
+        gauge = top_fg[:, None] - shift
+        top = gauge.max(axis=0)  # the foreground maximum
+        cap = (anchor[:, None] - shift).max(axis=0)  # >= background minimum
+        c, r = np.nonzero(cap - top + _PRUNE_EPS >= floor)
+        out = np.full(cx.size, -np.inf)
+        if not r.size:
+            return out
+        # a block of (center, rotation) pairs at a time against every
+        # background pixel, to bound the working memory
+        kb, p = [], []
+        for s in range(0, r.size, step):
+            cs, rs = c[s:s + step], r[s:s + step]
+            low = (bx - cx[cs, None]) * near_x[rs]
+            low += (by - cy[cs, None]) * near_y[rs]
+            j = low.argmin(axis=1)
+            lim = np.minimum(cap[cs, rs], (bx[j] * nx[:, rs] + by[j] * ny[:, rs]
+                                           - shift[:, cs, rs]).max(axis=0))
+            block_kb, block_p = np.nonzero(low <= lim[:, None] + _PRUNE_EPS)
+            kb.append(block_kb + s)
+            p.append(block_p)
+        kb = np.concatenate(kb)
+        p = np.concatenate(p)
+        k, kf = np.nonzero(gauge[:, c, r] >= top[c, r] - _PRUNE_EPS)
+        i, f = np.nonzero(extreme[k, r[kf]])
+        kk = np.concatenate([kb, kf[i]])
+        qx = np.concatenate([bx[p], fx[f]]) - cx[c[kk]]
+        qy = np.concatenate([by[p], fy[f]]) - cy[c[kk]]
+        folded = (np.arctan2(qy, qx) - rots[r[kk]]) % w - math.pi / n
+        u = np.hypot(qx, qy) * np.cos(folded)
+        lo = np.full(r.size, np.inf)
+        hi = np.full(r.size, -np.inf)
+        np.minimum.at(lo, kb, u[:kb.size])
+        np.maximum.at(hi, kf[i], u[kb.size:])
+        np.maximum.at(out, c, lo - hi)
+        return out
+
+    return slacks
+
+
 def _consistency_slack(mask: np.ndarray, n: int | None,
                        rot_seed: float = 0.0) -> float:
     """Largest margin by which some shape of the family reproduces the mask.
@@ -112,12 +202,36 @@ def _consistency_slack(mask: np.ndarray, n: int | None,
     background) exceeds max(u over foreground). A positive return value is
     therefore a certificate that the family can generate this exact
     raster. Searched over a center grid around the centroid plus a
-    rotation grid for polygons.
+    rotation grid for polygons, then hill-climbed from the best grid point.
+
+    Each row of the grid, and the hill-climb's remaining neighbours, are
+    evaluated together. For the circle u = |p - c| is cheap and computed
+    for every band pixel. For polygons u is computed only where it can
+    decide a comparison of the search, and the result is the same float as
+    computing it for every band pixel and rotation. There u equals the
+    gauge max_k <p - c, n_k> over the edge normals n_k, so projections
+    <p, n_k>, taken once per mask, bound it without trigonometry:
+
+    - the foreground maximum at center c is max_k (max_p <p, n_k> - <c, n_k>),
+      so only pixels extreme along some normal can hold it;
+    - any one background pixel's gauge bounds the minimum from above, and
+      <p - c, n_k> for the normal nearest p as seen from the centroid
+      bounds each background u from below; only pixels whose lower bound
+      reaches the upper bound can hold the minimum;
+    - a rotation whose bounds cannot reach the slack to beat is not
+      computed at all. In the hill-climb that is the current best; on the
+      grid, the best slack found so far, starting from the middle point's,
+      which the grid's maximum reaches, so its first maximum is still found.
+
+    Each bound carries a 1e-9 margin, far above the float error of either
+    form of u, so no skipped pair can tie a computed extreme: every slack
+    that can be accepted, and so every step of the search and the result,
+    is bit-identical to the exhaustive search.
     """
     ys, xs = np.nonzero(mask)
     cy0 = ys.mean()
     cx0 = xs.mean()
-    gx, gy = _grid(mask.shape[0])
+    gx, gy = _grid(mask.shape)
     flat = mask.ravel()
     dist0 = np.hypot(gx - cx0, gy - cy0)
     rmax = dist0[flat].max()
@@ -129,37 +243,52 @@ def _consistency_slack(mask: np.ndarray, n: int | None,
         return -np.inf
 
     if n is None:
-        rots = np.array([0.0])
+        def slacks(cx, cy, floor):
+            """Slack at each center, exact whatever the floor."""
+            u = np.hypot(px[:, None] - cx, py[:, None] - cy)
+            return u[~fg].min(axis=0) - u[fg].max(axis=0)
     else:
-        rots = rot_seed + np.arange(36) * (2.0 * math.pi / n / 36)
+        # a pixel extreme along a direction has a 4-neighbour outside the
+        # band's foreground that way, so only the rim of it can be
+        rim = boundary_mask((flat & band).reshape(mask.shape)).ravel()
+        slacks = _polygon_slacks(px[~fg], py[~fg], gx[rim], gy[rim], cx0, cy0,
+                                 n, rot_seed)
 
-    def slack_at(cx: float, cy: float) -> float:
-        dist = np.hypot(px - cx, py - cy)
-        if n is None:
-            u = dist[:, None]
-        else:
-            ang = np.arctan2(py - cy, px - cx)[:, None]
-            folded = (ang - rots[None, :]) % (2.0 * math.pi / n) - math.pi / n
-            u = dist[:, None] * np.cos(folded)
-        return float((u[~fg].reshape(-1, rots.size).min(axis=0)
-                      - u[fg].reshape(-1, rots.size).max(axis=0)).max())
-
+    offsets = np.arange(-0.6, 0.61, 0.3)
+    grid_x = cx0 + np.repeat(offsets, offsets.size)
+    grid_y = cy0 + np.tile(offsets, offsets.size)
+    # no slack found exceeds the grid's maximum, so each row may skip what
+    # cannot reach the best found before it, starting from the middle point's
+    middle = grid_x.size // 2
+    floor = slacks(grid_x[middle:middle + 1], grid_y[middle:middle + 1], -np.inf)[0]
+    grid = []
+    for row in range(0, grid_x.size, offsets.size):
+        found = slacks(grid_x[row:row + offsets.size], grid_y[row:row + offsets.size],
+                       floor)
+        grid.extend(found.tolist())
+        floor = max(floor, found.max())
     best = -np.inf
     best_c = (cx0, cy0)
-    for dx in np.arange(-0.6, 0.61, 0.3):
-        for dy in np.arange(-0.6, 0.61, 0.3):
-            s = slack_at(cx0 + dx, cy0 + dy)
-            if s > best:
-                best = s
-                best_c = (cx0 + dx, cy0 + dy)
+    for s, x, y in zip(grid, grid_x, grid_y):
+        if s > best:
+            best = s
+            best_c = (x, y)
     cx, cy = best_c
     for step in (0.15, 0.075, 0.0375):
-        for dx, dy in ((step, 0), (-step, 0), (0, step), (0, -step),
-                       (step, step), (step, -step), (-step, step), (-step, -step)):
-            s = slack_at(cx + dx, cy + dy)
-            if s > best:
-                best = s
-                cx, cy = cx + dx, cy + dy
+        moves = np.array(_HILL_MOVES, dtype=float) * step
+        k = 0
+        # the remaining moves from the current center at once; the first
+        # that improves is taken, and the rest are evaluated again from there
+        while k < len(moves):
+            for j, s in enumerate(slacks(cx + moves[k:, 0], cy + moves[k:, 1],
+                                         best).tolist(), k):
+                if s > best:
+                    best = s
+                    cx, cy = cx + moves[j, 0], cy + moves[j, 1]
+                    k = j + 1
+                    break
+            else:
+                k = len(moves)
     return best
 
 
@@ -178,7 +307,7 @@ def fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     ys, xs = np.nonzero(mask)
     cy = ys.mean()
     cx = xs.mean()
-    gx, gy = _grid(mask.shape[0])
+    gx, gy = _grid(mask.shape)
     dist = np.hypot(gx - cx, gy - cy)
     angles = np.arctan2(gy - cy, gx - cx)
     flat = mask.ravel()

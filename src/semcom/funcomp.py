@@ -103,7 +103,8 @@ def semantic_rate_search(tau: float, snr_db: float | None = None,
     quantizer, channel, reconstruction) and returns the first n_b whose
     estimated mean end-to-end distortion is <= tau, with all sweep points
     retained. Infeasible thresholds (below the encoder floor) yield
-    minimal_n_b = None.
+    minimal_n_b = None. A point whose trials are all degenerate has nan
+    mean and stderr and is infeasible.
     """
     if tau <= 0:
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
@@ -122,9 +123,12 @@ def semantic_rate_search(tau: float, snr_db: float | None = None,
                 total += rec.distortion
                 total_sq += rec.distortion ** 2
                 count += 1
-        mean = total / count
-        var = max(total_sq / count - mean ** 2, 0.0)
-        point = RatePoint(n_b, mean, math.sqrt(var / count), mean <= tau)
+        if count:
+            mean = total / count
+            stderr = math.sqrt(max(total_sq / count - mean ** 2, 0.0) / count)
+        else:  # every trial degenerate: no distortion to average
+            mean = stderr = math.nan
+        point = RatePoint(n_b, mean, stderr, mean <= tau)
         result.points.append(point)
         if point.feasible and result.minimal_n_b is None:
             result.minimal_n_b = n_b

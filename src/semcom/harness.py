@@ -166,11 +166,15 @@ class Aggregate:
 
     @property
     def mean_distortion(self) -> float:
-        return self.distortion_sum / self.distortion_count
+        """Mean over non-degenerate trials; nan when every trial was degenerate."""
+        n = self.distortion_count
+        return self.distortion_sum / n if n else math.nan
 
     @property
     def distortion_se(self) -> float:
         n = self.distortion_count
+        if not n:
+            return math.nan
         var = max(self.distortion_sq_sum / n - self.mean_distortion ** 2, 0.0)
         return math.sqrt(var / n)
 

@@ -161,26 +161,41 @@ def write_ppm(img: np.ndarray, path: str) -> None:
 
 
 def read_ppm(path: str) -> np.ndarray:
-    """Read a binary PPM back into a float image with channels in [0, 1]."""
+    """Read a binary PPM back into a float image with channels in [0, 1].
+
+    Anything but a P6 file with a complete header, 8-bit samples (maxval
+    1..255) and the full payload raises InvalidParameterError.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     fields = []
     pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
+    while len(fields) < 4 and pos < len(raw):
+        if raw[pos:pos + 1].isspace():
             pos += 1
-        if raw[pos:pos + 1] == b"#":
-            pos = raw.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
-    if fields[0] != b"P6":
+        elif raw[pos:pos + 1] == b"#":
+            end = raw.find(b"\n", pos)
+            pos = len(raw) if end < 0 else end + 1
+        else:
+            start = pos
+            while pos < len(raw) and not raw[pos:pos + 1].isspace():
+                pos += 1
+            fields.append(raw[start:pos])
+    if not fields or fields[0] != b"P6":
         raise InvalidParameterError(f"{path}: not a binary PPM")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    data = np.frombuffer(raw, dtype=np.uint8, count=w * h * 3, offset=pos)
+    if len(fields) < 4 or not all(f.isdigit() for f in fields[1:]):
+        raise InvalidParameterError(f"{path}: incomplete or non-numeric PPM header")
+    w, h, maxval = (int(f) for f in fields[1:])
+    if w < 1 or h < 1:
+        raise InvalidParameterError(f"{path}: image size {w}x{h}")
+    if not 1 <= maxval <= 255:
+        raise InvalidParameterError(f"{path}: maxval {maxval} outside 1..255")
+    pos += 1  # single whitespace after maxval
+    size = w * h * 3
+    if len(raw) - pos < size:
+        raise InvalidParameterError(
+            f"{path}: payload has {max(len(raw) - pos, 0)} of {size} bytes")
+    data = np.frombuffer(raw, dtype=np.uint8, count=size, offset=pos)
     return data.reshape(h, w, 3).astype(float) / float(maxval)
 
 

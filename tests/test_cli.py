@@ -31,6 +31,14 @@ class TestSimulate:
         assert "p_semantic=" in out and "trials=10" in out
 
 
+    def test_noiseless_channel(self, capsys):
+        code = main(["simulate", "--trials", "5", "--seed", "3",
+                     "--snr-db", "none"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "snr_db=None" in out and "p_syntactic=0 " in out
+
+
 class TestSweeps:
     def test_sweep_snr_csv(self, tmp_path, capsys):
         path = str(tmp_path / "sweep.csv")
@@ -48,6 +56,14 @@ class TestSweeps:
                      "--snr-db", "30"])
         assert code == 0
         assert capsys.readouterr().out.startswith(harness.SNR_SWEEP_HEADER)
+
+    def test_sweep_snr_noiseless_point(self, capsys):
+        code = main(["sweep-snr", "--trials", "5", "--seed", "1",
+                     "--snr-db", "15,none"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(",")[0] for line in lines[1:]] == ["15", "None"]
+        assert lines[2].split(",")[1:3] == ["0", "0"]  # no bit errors
 
     def test_sweep_rate_reports_reduction(self, tmp_path, capsys):
         path = str(tmp_path / "rate.csv")
@@ -73,6 +89,28 @@ class TestInspect:
         code = main(["inspect", str(tmp_path / "nope.ppm")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_truncated_ppm_fails_cleanly(self, tmp_path, capsys, rng):
+        img = scenegen.render(scenegen.sample_spec("red-circle", rng), rng)
+        path = str(tmp_path / "scene.ppm")
+        scenegen.write_ppm(img, path)
+        with open(path, "rb") as f:
+            raw = f.read()
+        for cut in (raw[:5], raw[:-10]):
+            with open(path, "wb") as f:
+                f.write(cut)
+            assert main(["inspect", path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_square_image(self, tmp_path, capsys, rng):
+        img = np.full((30, 40, 3), 0.5)
+        spec = scenegen.sample_spec("red-triangle", rng)
+        img[2:27, 5:30] = scenegen.render(spec, rng)
+        path = str(tmp_path / "wide.ppm")
+        scenegen.write_ppm(img, path)
+        assert main(["inspect", path]) == 0
+        assert "decoded concept: red-triangle" in capsys.readouterr().out
 
 
 class TestRenderDataset:

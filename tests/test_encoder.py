@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from semcom import cspace, encoder, scenegen
+from semcom import baseline, cspace, encoder, harness, phy, scenegen
 from semcom.errors import (DegenerateHueError, DegenerateSceneError,
-                           DegenerateShapeError)
+                           DegenerateShapeError, SemcomError)
 
 
 def noiseless_render(concept, rng):
@@ -178,3 +178,109 @@ class TestEncode:
         floor = total / count
         assert 0.0 < floor < 0.002
         assert floor == pytest.approx(0.00097, abs=0.0004)
+
+
+def reference_consistency_slack(mask, n, rot_seed=0.0):
+    """The exhaustive search: every band pixel at every center and rotation."""
+    ys, xs = np.nonzero(mask)
+    cy0 = ys.mean()
+    cx0 = xs.mean()
+    gx, gy = (g.ravel() for g in np.meshgrid(np.arange(mask.shape[1], dtype=float),
+                                             np.arange(mask.shape[0], dtype=float)))
+    flat = mask.ravel()
+    dist0 = np.hypot(gx - cx0, gy - cy0)
+    rmax = dist0[flat].max()
+    band = (dist0 >= rmax - 3.2) & (dist0 <= rmax + 3.2)
+    px = gx[band]
+    py = gy[band]
+    fg = flat[band]
+    if fg.all() or not fg.any():
+        return -np.inf
+
+    if n is None:
+        rots = np.array([0.0])
+    else:
+        rots = rot_seed + np.arange(36) * (2.0 * math.pi / n / 36)
+
+    def slack_at(cx, cy):
+        dist = np.hypot(px - cx, py - cy)
+        if n is None:
+            u = dist[:, None]
+        else:
+            ang = np.arctan2(py - cy, px - cx)[:, None]
+            folded = (ang - rots[None, :]) % (2.0 * math.pi / n) - math.pi / n
+            u = dist[:, None] * np.cos(folded)
+        return float((u[~fg].reshape(-1, rots.size).min(axis=0)
+                      - u[fg].reshape(-1, rots.size).max(axis=0)).max())
+
+    best = -np.inf
+    best_c = (cx0, cy0)
+    for dx in np.arange(-0.6, 0.61, 0.3):
+        for dy in np.arange(-0.6, 0.61, 0.3):
+            s = slack_at(cx0 + dx, cy0 + dy)
+            if s > best:
+                best = s
+                best_c = (cx0 + dx, cy0 + dy)
+    cx, cy = best_c
+    for step in (0.15, 0.075, 0.0375):
+        for dx, dy in ((step, 0), (-step, 0), (0, step), (0, -step),
+                       (step, step), (step, -step), (-step, step), (-step, -step)):
+            s = slack_at(cx + dx, cy + dy)
+            if s > best:
+                best = s
+                cx, cy = cx + dx, cy + dy
+    return best
+
+
+def seeded_masks():
+    """Masks of every concept: noiseless and noisy renders, and images
+    received by the pixel system at 0, 10 and 20 dB."""
+    masks = []
+    for ci, concept in enumerate(harness.CONCEPT_LABELS):
+        for i in range(4):
+            rng = harness.trial_rng(900 + ci, i)
+            spec = scenegen.sample_spec(concept, rng)
+            clean = scenegen.SceneSpec(spec.concept, spec.fill_hsv, spec.n_sides,
+                                       spec.circumradius, spec.rotation,
+                                       spec.center, pixel_noise_sigma=0.0)
+            images = [scenegen.render(clean), scenegen.render(spec, rng)]
+            snr = (0.0, 10.0, 20.0)[(ci + i) % 3]
+            bits = baseline.pixel_quantize(images[1], 8)
+            received = phy.transmit_packet(bits, phy.ChannelParams(snr, rng))
+            images.append(baseline.pixel_dequantize(received, 8))
+            for img in images:
+                try:
+                    masks.append(encoder.segment(img))
+                except SemcomError:
+                    pass
+    return masks
+
+
+@pytest.fixture(scope="module")
+def masks():
+    return seeded_masks()
+
+
+class TestConsistencySlack:
+    """The pruned certificate returns exactly the exhaustive search's float."""
+
+    @pytest.mark.parametrize("n", [None, 8])
+    def test_bit_identical_to_exhaustive(self, masks, n):
+        assert len(masks) >= 55
+        for mask in masks:
+            got = encoder._consistency_slack(mask, n)
+            assert got == reference_consistency_slack(mask, n)
+
+    @pytest.mark.parametrize("n", [None, 8])
+    def test_all_foreground_band(self, n):
+        # the other -inf case, a band with no foreground, cannot occur: the
+        # farthest foreground pixel always lies in the band
+        mask = np.ones((25, 25), dtype=bool)
+        assert encoder._consistency_slack(mask, n) == -np.inf
+        assert reference_consistency_slack(mask, n) == -np.inf
+
+    def test_fit_shape_unchanged(self, masks, monkeypatch):
+        fitted = [encoder.fit_shape(mask) for mask in masks]
+        monkeypatch.setattr(encoder, "_consistency_slack",
+                            reference_consistency_slack)
+        assert fitted == [encoder.fit_shape(mask) for mask in masks]

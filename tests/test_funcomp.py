@@ -1,9 +1,11 @@
 """Functional compression: equivalence classes, code lengths, rate search."""
 
+import math
+
 import pytest
 
-from semcom import funcomp
-from semcom.errors import InvalidParameterError
+from semcom import encoder, funcomp
+from semcom.errors import DegenerateSceneError, InvalidParameterError
 
 
 def mod2_function():
@@ -109,3 +111,16 @@ class TestRateSearch:
         # coarse quantization dominates at low n_b; by n_b=6 the encoder
         # floor dominates
         assert means[0] > means[5]
+
+    def test_all_degenerate_points_are_nan_and_infeasible(self, monkeypatch):
+        def degenerate(img):
+            raise DegenerateSceneError("no foreground")
+
+        monkeypatch.setattr(encoder, "encode", degenerate)
+        result = funcomp.semantic_rate_search(10.0, snr_db=None, trials=3,
+                                              max_n_b=2)
+        assert not result.feasible
+        assert len(result.points) == 2
+        for p in result.points:
+            assert math.isnan(p.mean_distortion) and math.isnan(p.stderr)
+            assert not p.feasible

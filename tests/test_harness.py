@@ -106,6 +106,14 @@ class TestAggregate:
         agg = harness.Aggregate(trials=400)
         assert agg.proportion_se(0.5) == pytest.approx(0.025)
 
+    def test_all_degenerate_gives_nan_distortion(self):
+        agg = harness.Aggregate()
+        for _ in range(3):
+            agg.add_outcome(False, True, True, math.nan)
+        assert agg.p_semantic == 1.0
+        assert math.isnan(agg.mean_distortion)
+        assert math.isnan(agg.distortion_se)
+
 
 class TestRunTrials:
     def test_worker_count_invariance(self):

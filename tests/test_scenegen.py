@@ -171,6 +171,32 @@ class TestPpm:
         with pytest.raises(InvalidParameterError):
             scenegen.read_ppm(path)
 
+    @pytest.mark.parametrize("raw", [
+        b"",
+        b"P6\n25",  # header cut short
+        b"P6\n# comment without end",
+        b"P6\n2 x\n255\n" + bytes(12),  # non-integer width
+        b"P6\n2 -1\n255\n" + bytes(12),
+        b"P6\n0 1\n255\n",  # empty image
+        b"P6\n2 1\n0\n" + bytes(6),  # maxval below 1
+        b"P6\n2 1\n256\n" + bytes(12),  # 16-bit samples
+        b"P6\n2 1\n255\n" + bytes(5),  # truncated payload
+        b"P6\n2 1\n255",  # no payload at all
+    ])
+    def test_rejects_malformed(self, tmp_path, raw):
+        path = str(tmp_path / "bad.ppm")
+        with open(path, "wb") as f:
+            f.write(raw)
+        with pytest.raises(InvalidParameterError):
+            scenegen.read_ppm(path)
+
+    def test_maxval_scales_samples(self, tmp_path):
+        path = str(tmp_path / "m.ppm")
+        with open(path, "wb") as f:
+            f.write(b"P6\n1 1\n15\n" + bytes([15, 5, 0]))
+        img = scenegen.read_ppm(path)
+        assert img[0, 0] == pytest.approx((1.0, 1.0 / 3.0, 0.0))
+
 
 class TestDumpDataset:
     def test_files_and_labels(self, rng, tmp_path):
