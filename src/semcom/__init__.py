@@ -1,5 +1,7 @@
 """Semantic communication over conceptual spaces: link-level simulator."""
 
+__version__ = "0.1.0"
+
 from .cspace import (
     Concept,
     SemanticPoint,
@@ -23,5 +25,3 @@ __all__ = [
     "semantic_loss",
     "semantic_metric",
 ]
-
-__version__ = "0.1.0"

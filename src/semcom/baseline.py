@@ -45,7 +45,7 @@ def classify_received(img: np.ndarray) -> tuple[str, bool]:
     make sense of the image, the lexicographically first concept is
     reported and the failure flag raised, keeping error accounting simple.
     """
-    concepts = cspace.default_concepts()
+    concepts = cspace.CONCEPTS
     try:
         point = encoder.encode(img)
     except SemcomError:

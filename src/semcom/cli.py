@@ -100,7 +100,7 @@ def cmd_inspect(args) -> int:
     img = scenegen.read_ppm(args.image)
     point = encoder.encode(img)
     print(f"r={point.r:.6f} h={point.h:.6f} s={point.s:.6f} b={point.b:.6f}")
-    decoded = cspace.decode_concept(point, cspace.default_concepts())
+    decoded = cspace.decode_concept(point, cspace.CONCEPTS)
     print(f"decoded concept: {decoded.label}")
     return 0
 

@@ -171,17 +171,20 @@ _PROTOTYPE_SPECS = (
 )
 
 
+#: The five-concept table, built once, in ascending label order.
+CONCEPTS = tuple(sorted(
+    (Concept(label, SemanticPoint(polygon_ratio(n), hue, _PROTO_S, _PROTO_B))
+     for label, n, hue in _PROTOTYPE_SPECS),
+    key=lambda c: c.label))
+
+
 def default_concepts() -> list[Concept]:
-    """The five-concept set, in ascending label order."""
-    concepts = [
-        Concept(label, SemanticPoint(polygon_ratio(n), hue, _PROTO_S, _PROTO_B))
-        for label, n, hue in _PROTOTYPE_SPECS
-    ]
-    return sorted(concepts, key=lambda c: c.label)
+    """The five-concept set, in ascending label order, as a new list."""
+    return list(CONCEPTS)
 
 
 def concept_by_label(label: str, concepts: Sequence[Concept] | None = None) -> Concept:
-    for c in concepts or default_concepts():
+    for c in concepts or CONCEPTS:
         if c.label == label:
             return c
     raise InvalidParameterError(f"unknown concept label {label!r}")
@@ -190,7 +193,7 @@ def concept_by_label(label: str, concepts: Sequence[Concept] | None = None) -> C
 def prototypes_csv(concepts: Sequence[Concept] | None = None) -> str:
     """Prototype table as CSV text: label,r,h,s,b at 6 decimal places."""
     lines = ["label,r,h,s,b"]
-    for c in concepts or default_concepts():
+    for c in concepts or CONCEPTS:
         p = c.prototype
         lines.append(f"{c.label},{p.r:.6f},{p.h:.6f},{p.s:.6f},{p.b:.6f}")
     return "\n".join(lines) + "\n"

@@ -292,6 +292,10 @@ def _consistency_slack(mask: np.ndarray, n: int | None,
     return best
 
 
+#: Most distinct masks whose fit_shape result is kept.
+FIT_CACHE_SIZE = 32
+
+
 def fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     """Best-fitting regular shape for a mask: (n_sides, circumradius, rotation).
 
@@ -303,7 +307,25 @@ def fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     evidence of every pixel. Circle-vs-octagon decisions additionally use
     the exact-consistency certificate, since their templates differ by
     only a few corner pixels at small radii.
+
+    The fit depends on the mask's content alone, so it is memoized on the
+    mask's shape and packed bits: a scene encoded again (the rate search
+    encodes each scene once per n_b) reuses its fit. The cache keeps its
+    own copy of the bits and the result is a tuple, so neither changes
+    when the caller's array does.
     """
+    return _fit_shape_cached(mask.shape, np.packbits(mask).tobytes())
+
+
+@functools.lru_cache(maxsize=FIT_CACHE_SIZE)
+def _fit_shape_cached(shape: tuple[int, ...],
+                      packed: bytes) -> tuple[int | None, float, float]:
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=math.prod(shape))
+    return _fit_shape(bits.view(bool).reshape(shape))
+
+
+def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
+    """The fit of fit_shape, without the memo."""
     ys, xs = np.nonzero(mask)
     cy = ys.mean()
     cx = xs.mean()

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError
-from .harness import CONCEPT_LABELS, run_trial, trial_rng
+from .harness import CONCEPT_LABELS, Aggregate, run_trial, trial_rng
 
 
 @dataclass
@@ -110,25 +109,18 @@ def semantic_rate_search(tau: float, snr_db: float | None = None,
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    result = RateSearchResult(None)
-    for n_b in range(1, max_n_b + 1):
-        total = 0.0
-        total_sq = 0.0
-        count = 0
-        for i in range(trials):
+    n_b_values = range(1, max_n_b + 1)
+    aggs = [Aggregate() for _ in n_b_values]
+    # scene by scene, so the fits of a scene's n_b points hit encoder's memo
+    for i in range(trials):
+        for n_b, agg in zip(n_b_values, aggs):
             rng = trial_rng(base_seed, i)
             concept = CONCEPT_LABELS[rng.integers(len(CONCEPT_LABELS))]
-            rec = run_trial(concept, n_b, snr_db, rng)
-            if not math.isnan(rec.distortion):
-                total += rec.distortion
-                total_sq += rec.distortion ** 2
-                count += 1
-        if count:
-            mean = total / count
-            stderr = math.sqrt(max(total_sq / count - mean ** 2, 0.0) / count)
-        else:  # every trial degenerate: no distortion to average
-            mean = stderr = math.nan
-        point = RatePoint(n_b, mean, stderr, mean <= tau)
+            agg.add(run_trial(concept, n_b, snr_db, rng))
+    result = RateSearchResult(None)
+    for n_b, agg in zip(n_b_values, aggs):
+        mean = agg.mean_distortion
+        point = RatePoint(n_b, mean, agg.distortion_se, mean <= tau)
         result.points.append(point)
         if point.feasible and result.minimal_n_b is None:
             result.minimal_n_b = n_b

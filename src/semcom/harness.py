@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import baseline, cspace, encoder, phy, scenegen
 from .errors import InvalidParameterError, SemcomError
 
-VERSION = "0.1.0"
-
-CONCEPT_LABELS = tuple(c.label for c in cspace.default_concepts())
+CONCEPT_LABELS = tuple(c.label for c in cspace.CONCEPTS)
 
 SNR_SWEEP_HEADER = ("snr_db,p_syntactic,p_syntactic_se,p_semantic,p_semantic_se,"
                     "mean_distortion,distortion_se")
@@ -52,7 +51,6 @@ class ExperimentConfig:
     trials: int = 10_000
     base_seed: int = 0
     workers: int = 1
-    out_path: str | None = None
 
     def __post_init__(self):
         if self.system not in ("semantic", "traditional"):
@@ -61,6 +59,8 @@ class ExperimentConfig:
             raise InvalidParameterError("trials must be >= 1")
         if not 1 <= self.n_b <= 16:
             raise InvalidParameterError("n_b must be in [1, 16]")
+        if self.workers < 1:
+            raise InvalidParameterError("workers must be >= 1")
 
 
 def trial_rng(base_seed: int, index: int) -> np.random.Generator:
@@ -87,7 +87,7 @@ def run_trial(concept: str, n_b: int, snr_db: float | None,
     bits = phy.pack(phy.quantize(point, qspec), n_b)
     received = phy.transmit_packet(bits, phy.ChannelParams(snr_db, rng))
     received_point = phy.dequantize(phy.unpack(received, n_b), qspec)
-    decoded = cspace.decode_concept(received_point, cspace.default_concepts()).label
+    decoded = cspace.decode_concept(received_point, cspace.CONCEPTS).label
     return TrialRecord(
         concept, point, bits, received, received_point, decoded,
         syntactic_error=bool((bits != received).any()),
@@ -112,7 +112,7 @@ def run_traditional_trial(concept: str, n_b: int, snr_db: float | None,
         failure = True
         distortion = math.nan
     else:
-        decoded = cspace.decode_concept(point, cspace.default_concepts()).label
+        decoded = cspace.decode_concept(point, cspace.CONCEPTS).label
         failure = False
         distortion = cspace.semantic_loss(prototype, point)
     return TrialRecord(
@@ -200,6 +200,9 @@ def run_trials(system: str, n_b: int, snr_db: float | None, trials: int,
     result bit-identical for every worker count; workers are separate
     processes since the trial loop is CPU-bound.
     """
+    if workers < 1:
+        raise InvalidParameterError("workers must be >= 1")
+    workers = min(workers, trials)  # a worker beyond the trials would idle
     if workers <= 1:
         outcomes = _run_range(system, n_b, snr_db, base_seed, range(trials))
     else:

@@ -31,6 +31,13 @@ class TestSimulate:
         assert "p_semantic=" in out and "trials=10" in out
 
 
+    def test_rejects_fewer_than_one_worker(self, capsys):
+        for workers in ("0", "-3"):
+            code = main(["simulate", "--trials", "2", "--workers", workers])
+            assert code != 0
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "workers" in err
+
     def test_noiseless_channel(self, capsys):
         code = main(["simulate", "--trials", "5", "--seed", "3",
                      "--snr-db", "none"])

@@ -283,4 +283,49 @@ class TestConsistencySlack:
         fitted = [encoder.fit_shape(mask) for mask in masks]
         monkeypatch.setattr(encoder, "_consistency_slack",
                             reference_consistency_slack)
-        assert fitted == [encoder.fit_shape(mask) for mask in masks]
+        # the memoized front would return the fits above; refit without it
+        assert fitted == [encoder._fit_shape(mask) for mask in masks]
+
+
+class TestFitShapeMemo:
+    """fit_shape's memo returns exactly what the fit itself returns."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        encoder._fit_shape_cached.cache_clear()
+        yield
+        encoder._fit_shape_cached.cache_clear()
+
+    def test_equals_uncached_fit(self, masks):
+        for mask in masks:
+            assert encoder.fit_shape(mask) == encoder._fit_shape(mask)
+            assert encoder.fit_shape(mask) == encoder._fit_shape(mask)  # a hit
+        assert encoder._fit_shape_cached.cache_info().hits >= len(masks)
+
+    def test_same_bits_different_shape_are_separate_entries(self):
+        square = np.zeros((5, 5), dtype=bool)
+        square[1:4, 1:4] = True
+        row = square.reshape(1, 25)
+        assert np.packbits(square).tobytes() == np.packbits(row).tobytes()
+        encoder.fit_shape(square)
+        encoder.fit_shape(row)
+        info = encoder._fit_shape_cached.cache_info()
+        assert info.currsize == 2 and info.hits == 0
+
+    def test_caller_changing_its_array_does_not_reach_the_cache(self, masks):
+        mask = masks[0].copy()
+        first = encoder.fit_shape(mask)
+        mask[:] = False
+        mask[5:20, 5:20] = True  # a square now
+        assert encoder.fit_shape(mask) == encoder._fit_shape(mask)
+        assert encoder.fit_shape(masks[0]) == first
+        assert first == encoder._fit_shape(masks[0])
+
+    def test_cache_stays_within_its_bound(self):
+        for k in range(2 * encoder.FIT_CACHE_SIZE):  # distinct rectangles
+            mask = np.zeros((25, 25), dtype=bool)
+            mask[3:7 + k // 8, 3:7 + k % 8] = True
+            encoder.fit_shape(mask)
+        info = encoder._fit_shape_cached.cache_info()
+        assert info.misses == 2 * encoder.FIT_CACHE_SIZE
+        assert info.currsize == encoder.FIT_CACHE_SIZE

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from semcom import encoder, funcomp
+from semcom import encoder, funcomp, harness
 from semcom.errors import DegenerateSceneError, InvalidParameterError
 
 
@@ -124,3 +124,14 @@ class TestRateSearch:
         for p in result.points:
             assert math.isnan(p.mean_distortion) and math.isnan(p.stderr)
             assert not p.feasible
+
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    def test_points_equal_run_trials(self, snr_db):
+        # the search accumulates exactly as run_trials does, n_b by n_b
+        result = funcomp.semantic_rate_search(0.002, snr_db=snr_db, trials=8,
+                                              base_seed=3)
+        assert [p.n_b for p in result.points] == list(range(1, 17))
+        for p in result.points:
+            agg = harness.run_trials("semantic", p.n_b, snr_db, 8, 3)
+            assert p.mean_distortion == agg.mean_distortion
+            assert p.stderr == agg.distortion_se

@@ -133,6 +133,29 @@ class TestRunTrials:
             harness.ExperimentConfig(trials=0)
         with pytest.raises(InvalidParameterError):
             harness.ExperimentConfig(n_b=0)
+        for workers in (0, -3):
+            with pytest.raises(InvalidParameterError):
+                harness.ExperimentConfig(workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(InvalidParameterError):
+            harness.run_trials("semantic", 8, None, 2, 0, workers=workers)
+
+    def test_pool_no_larger_than_the_trials(self, monkeypatch):
+        sizes = []
+
+        class Pool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        agg = harness.run_trials("semantic", 8, None, 2, 5, workers=3)
+        assert sizes == [2]
+        assert agg == harness.run_trials("semantic", 8, None, 2, 5, workers=1)
+        harness.run_trials("semantic", 8, None, 1, 5, workers=3)
+        assert sizes == [2]  # a single trial runs in this process
 
 
 class TestSweeps:
