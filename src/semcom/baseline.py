@@ -1,22 +1,17 @@
 """Traditional pixel-transmission system.
 
-Quantizes every channel of the full 25x25 image, sends the resulting
-1875*n_b bits over the same BPSK/Rayleigh link, and classifies the
-reconstructed image with the shared analytic perception stack.
+Quantizes every channel of the full 25x25 image into 1875*n_b bits for
+the same BPSK/Rayleigh link; harness.run_traditional_trial classifies the
+reconstruction with the perception stack the semantic system uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import cspace, encoder
-from .errors import MalformedPacketError, SemcomError
+from .errors import MalformedPacketError
 
 PIXEL_VALUES = 25 * 25 * 3  # 1875 quantized values per image
-
-
-def pixel_packet_bits(n_b: int) -> int:
-    return PIXEL_VALUES * n_b
 
 
 def pixel_quantize(img: np.ndarray, n_b: int) -> np.ndarray:
@@ -30,27 +25,12 @@ def pixel_quantize(img: np.ndarray, n_b: int) -> np.ndarray:
 def pixel_dequantize(bits: np.ndarray, n_b: int) -> np.ndarray:
     """Cell-center image reconstruction from a pixel packet."""
     bits = np.asarray(bits)
-    if bits.shape != (pixel_packet_bits(n_b),):
+    if bits.shape != (traditional_rate_bits(n_b),):
         raise MalformedPacketError(
-            f"pixel packet length {bits.size} != {pixel_packet_bits(n_b)}")
+            f"pixel packet length {bits.size} != {traditional_rate_bits(n_b)}")
     weights = 1 << np.arange(n_b - 1, -1, -1)
     idx = (bits.reshape(PIXEL_VALUES, n_b).astype(np.int64) * weights).sum(axis=1)
     return ((idx + 0.5) / (1 << n_b)).reshape(25, 25, 3)
-
-
-def classify_received(img: np.ndarray) -> tuple[str, bool]:
-    """Concept label for a (possibly channel-mangled) image.
-
-    Returns (label, classifier_failure). When the perception stack cannot
-    make sense of the image, the lexicographically first concept is
-    reported and the failure flag raised, keeping error accounting simple.
-    """
-    concepts = cspace.CONCEPTS
-    try:
-        point = encoder.encode(img)
-    except SemcomError:
-        return concepts[0].label, True
-    return cspace.decode_concept(point, concepts).label, False
 
 
 def semantic_rate_bits(n_b: int) -> int:

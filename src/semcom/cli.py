@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import baseline, cspace, encoder, funcomp, harness, scenegen
-from .errors import SemcomError
+from .errors import InvalidParameterError, SemcomError
 
 
 def _snr_list(text: str) -> tuple[float | None, ...]:
@@ -18,14 +18,20 @@ def _snr_list(text: str) -> tuple[float | None, ...]:
                  for v in text.split(","))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_batch(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=int, default=1)
+
+
+def _add_link(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nb", type=int, default=8)
     parser.add_argument("--snr-db", type=_snr_list, default=(0, 5, 10, 15, 20, 25, 30))
     parser.add_argument("--system", choices=("semantic", "traditional"),
                         default="semantic")
-    parser.add_argument("--workers", type=int, default=1)
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None)
     parser.add_argument("--plot-data", action="store_true",
                         help="write whitespace-delimited plot data instead of CSV")
@@ -35,14 +41,10 @@ def _emit(rows, args, header) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
     config = {k: list(v) if isinstance(v, tuple) else v for k, v in config.items()}
     if args.out:
-        writer = harness.emit_plot_data if args.plot_data else harness.emit_csv
-        writer(rows, args.out, header, config)
+        harness.emit_csv(rows, args.out, header, config, args.plot_data)
         print(f"wrote {args.out}")
     else:
-        print(header)
-        cols = header.split(",")
-        for row in rows:
-            print(",".join(harness._format_value(row[c]) for c in cols))
+        print(harness.format_rows(rows, header), end="")
 
 
 def cmd_simulate(args) -> int:
@@ -109,13 +111,23 @@ def cmd_funcomp_classes(args) -> int:
     domain = []
     mapping = {}
     probs = {}
-    with open(args.spec, newline="") as f:
-        for row in csv.DictReader(f):
-            x = row["element"]
-            domain.append(x)
-            mapping[x] = row["output"]
-            if row.get("probability"):
-                probs[x] = float(row["probability"])
+    try:
+        with open(args.spec, newline="") as f:
+            reader = csv.DictReader(f)
+            if not {"element", "output"} <= set(reader.fieldnames or ()):
+                raise InvalidParameterError(
+                    f"{args.spec}: needs the columns element,output")
+            for row in reader:
+                x = row["element"]
+                if x is None or row["output"] is None:
+                    raise InvalidParameterError(
+                        f"{args.spec}: line {reader.line_num} is short")
+                domain.append(x)
+                mapping[x] = row["output"]
+                if row.get("probability"):
+                    probs[x] = float(row["probability"])
+    except (ValueError, csv.Error) as exc:  # a non-numeric probability, undecodable text
+        raise InvalidParameterError(f"{args.spec}: {exc}") from exc
     fn = funcomp.FiniteFunction(domain, mapping, probs or None)
     classes = funcomp.equivalence_classes(fn)
     for cls in classes:
@@ -147,15 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="one configuration, aggregate stats")
-    _add_common(p)
+    _add_batch(p)
+    _add_link(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep-snr", help="error/distortion curves vs SNR")
-    _add_common(p)
+    _add_batch(p)
+    _add_link(p)
+    _add_output(p)
     p.set_defaults(func=cmd_sweep_snr)
 
     p = sub.add_parser("sweep-rate", help="rate table for both systems at 15 dB")
-    _add_common(p)
+    _add_batch(p)
+    _add_output(p)
     p.set_defaults(func=cmd_sweep_rate)
 
     p = sub.add_parser("render-dataset", help="dump labeled PPM scenes")

@@ -19,38 +19,6 @@ DEFAULT_RHO = 50.0
 
 
 @dataclass(frozen=True)
-class QualityDimension:
-    """One measurable axis of a domain.
-
-    kind is "linear" (bounded by lo/hi) or "circular" (period 1, lo/hi
-    ignored). Weights over a space must sum to 1.
-    """
-
-    name: str
-    kind: str
-    lo: float = 0.0
-    hi: float = 1.0
-    weight: float = 0.25
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "circular"):
-            raise InvalidParameterError(f"unknown dimension kind {self.kind!r}")
-        if self.kind == "linear" and not self.lo < self.hi:
-            raise InvalidParameterError(f"dimension {self.name}: lo must be < hi")
-        if not self.weight > 0:
-            raise InvalidParameterError(f"dimension {self.name}: weight must be > 0")
-
-
-#: The four-dimension space used throughout: shape ratio plus the color spindle.
-SPACE_DIMENSIONS = (
-    QualityDimension("ratio", "linear", 1.0, 2.5),
-    QualityDimension("hue", "circular"),
-    QualityDimension("saturation", "linear", 0.0, 1.0),
-    QualityDimension("brightness", "linear", 0.0, 1.0),
-)
-
-
-@dataclass(frozen=True)
 class SemanticPoint:
     """Coordinates (r, h, s, b) of a point in the conceptual space."""
 
@@ -162,7 +130,8 @@ def distortion_bound_holds(p_star: SemanticPoint, p: SemanticPoint,
 _PROTO_S = 1.0
 _PROTO_B = 0.9714
 
-_PROTOTYPE_SPECS = (
+#: (label, polygon sides or None for a circle, hue) of each concept.
+PROTOTYPE_SPECS = (
     ("yellow-square", 4, 1.0 / 6.0),
     ("red-triangle", 3, 0.0),
     ("red-octagon", 8, 0.0),
@@ -174,7 +143,7 @@ _PROTOTYPE_SPECS = (
 #: The five-concept table, built once, in ascending label order.
 CONCEPTS = tuple(sorted(
     (Concept(label, SemanticPoint(polygon_ratio(n), hue, _PROTO_S, _PROTO_B))
-     for label, n, hue in _PROTOTYPE_SPECS),
+     for label, n, hue in PROTOTYPE_SPECS),
     key=lambda c: c.label))
 
 

@@ -31,6 +31,10 @@ class FiniteFunction:
             raise InvalidParameterError(f"mapping not total; missing {missing}")
         if self.probabilities is None:
             self.probabilities = {x: 1.0 / len(self.domain) for x in self.domain}
+        bad = [x for x in self.domain
+               if x not in self.probabilities or not self.probabilities[x] >= 0.0]
+        if bad:
+            raise InvalidParameterError(f"no probability >= 0 for {bad}")
         total = sum(self.probabilities[x] for x in self.domain)
         if abs(total - 1.0) > 1e-9:
             raise InvalidParameterError(f"probabilities sum to {total}, expected 1")

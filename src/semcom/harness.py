@@ -10,9 +10,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,14 +52,19 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.system not in ("semantic", "traditional"):
-            raise InvalidParameterError(f"unknown system {self.system!r}")
-        if self.trials < 1:
-            raise InvalidParameterError("trials must be >= 1")
-        if not 1 <= self.n_b <= 16:
-            raise InvalidParameterError("n_b must be in [1, 16]")
-        if self.workers < 1:
-            raise InvalidParameterError("workers must be >= 1")
+        _check_batch(self.system, self.n_b, self.trials, self.workers)
+
+
+def _check_batch(system: str, n_b: int, trials: int, workers: int) -> None:
+    """Raise InvalidParameterError unless a batch of trials can run as given."""
+    if system not in ("semantic", "traditional"):
+        raise InvalidParameterError(f"unknown system {system!r}")
+    if trials < 1:
+        raise InvalidParameterError("trials must be >= 1")
+    if not 1 <= n_b <= 16:
+        raise InvalidParameterError("n_b must be in [1, 16]")
+    if workers < 1:
+        raise InvalidParameterError("workers must be >= 1")
 
 
 def trial_rng(base_seed: int, index: int) -> np.random.Generator:
@@ -68,58 +72,54 @@ def trial_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(index,)))
 
 
+def _encode(img: np.ndarray) -> cspace.SemanticPoint | None:
+    """The encoder's point for an image; None when it cannot make one."""
+    try:
+        return encoder.encode(img)
+    except SemcomError:
+        return None
+
+
+def _decode(concept: str, point, bits, received, received_point) -> TrialRecord:
+    """Decode the receiver's point, score it against the prototype, record all.
+
+    received_point None is a degenerate trial, counted and never aborting a
+    sweep: it decodes as the first label and has no distortion.
+    """
+    if received_point is None:
+        decoded, distortion = CONCEPT_LABELS[0], math.nan
+    else:
+        decoded = cspace.decode_concept(received_point, cspace.CONCEPTS).label
+        distortion = cspace.semantic_loss(
+            cspace.concept_by_label(concept).prototype, received_point)
+    return TrialRecord(
+        concept, point, bits, received, received_point, decoded,
+        syntactic_error=bits is not None and bool((bits != received).any()),
+        semantic_error=decoded != concept,
+        distortion=distortion, degenerate=received_point is None)
+
+
 def run_trial(concept: str, n_b: int, snr_db: float | None,
               rng: np.random.Generator) -> TrialRecord:
     """Scene -> encode -> quantize/pack -> channel -> decode, fully recorded."""
-    prototype = cspace.concept_by_label(concept).prototype
-    spec = scenegen.sample_spec(concept, rng)
-    img = scenegen.render(spec, rng)
-    try:
-        point = encoder.encode(img)
-    except SemcomError:
-        # counted, never aborts a sweep
-        decoded = CONCEPT_LABELS[0]
-        return TrialRecord(concept, None, None, None, None, decoded,
-                           syntactic_error=False,
-                           semantic_error=decoded != concept,
-                           distortion=math.nan, degenerate=True)
+    point = _encode(scenegen.render(scenegen.sample_spec(concept, rng), rng))
+    if point is None:  # nothing to send, so no channel draws
+        return _decode(concept, None, None, None, None)
     qspec = phy.QuantizerSpec(n_b)
     bits = phy.pack(phy.quantize(point, qspec), n_b)
     received = phy.transmit_packet(bits, phy.ChannelParams(snr_db, rng))
-    received_point = phy.dequantize(phy.unpack(received, n_b), qspec)
-    decoded = cspace.decode_concept(received_point, cspace.CONCEPTS).label
-    return TrialRecord(
-        concept, point, bits, received, received_point, decoded,
-        syntactic_error=bool((bits != received).any()),
-        semantic_error=decoded != concept,
-        distortion=cspace.semantic_loss(prototype, received_point))
+    return _decode(concept, point, bits, received,
+                   phy.dequantize(phy.unpack(received, n_b), qspec))
 
 
 def run_traditional_trial(concept: str, n_b: int, snr_db: float | None,
                           rng: np.random.Generator) -> TrialRecord:
     """Pixel-transmission trial with the shared perception stack at the RX."""
-    prototype = cspace.concept_by_label(concept).prototype
-    spec = scenegen.sample_spec(concept, rng)
-    img = scenegen.render(spec, rng)
+    img = scenegen.render(scenegen.sample_spec(concept, rng), rng)
     bits = baseline.pixel_quantize(img, n_b)
     received = phy.transmit_packet(bits, phy.ChannelParams(snr_db, rng))
-    rx_img = baseline.pixel_dequantize(received, n_b)
-    try:
-        point = encoder.encode(rx_img)
-    except SemcomError:
-        point = None
-        decoded = CONCEPT_LABELS[0]
-        failure = True
-        distortion = math.nan
-    else:
-        decoded = cspace.decode_concept(point, cspace.CONCEPTS).label
-        failure = False
-        distortion = cspace.semantic_loss(prototype, point)
-    return TrialRecord(
-        concept, None, bits, received, point, decoded,
-        syntactic_error=bool((bits != received).any()),
-        semantic_error=decoded != concept,
-        distortion=distortion, degenerate=failure)
+    point = _encode(baseline.pixel_dequantize(received, n_b))
+    return _decode(concept, None, bits, received, point)
 
 
 @dataclass
@@ -200,8 +200,7 @@ def run_trials(system: str, n_b: int, snr_db: float | None, trials: int,
     result bit-identical for every worker count; workers are separate
     processes since the trial loop is CPU-bound.
     """
-    if workers < 1:
-        raise InvalidParameterError("workers must be >= 1")
+    _check_batch(system, n_b, trials, workers)
     workers = min(workers, trials)  # a worker beyond the trials would idle
     if workers <= 1:
         outcomes = _run_range(system, n_b, snr_db, base_seed, range(trials))
@@ -264,40 +263,31 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _write_manifest(path: str, config: dict) -> None:
-    manifest = {"config": config, "version": VERSION}
-    with open(path + ".manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+def format_rows(rows: list[dict], header: str, plot_data: bool = False) -> str:
+    """Rows under the normative header as CSV, values to 6 significant digits.
+
+    plot_data gives whitespace-delimited columns for gnuplot instead, the
+    header a comment line.
+    """
+    columns = header.split(",")
+    sep = " " if plot_data else ","
+    lines = ["# " + sep.join(columns) if plot_data else header]
+    lines += [sep.join(_format_value(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def emit_csv(rows: list[dict], path: str, header: str,
-             config: dict | None = None) -> None:
-    """Write sweep rows as CSV with the normative header, plus a manifest."""
+             config: dict | None = None, plot_data: bool = False) -> None:
+    """Write format_rows's text to path, plus a manifest of the config."""
     if not rows:
-        raise InvalidParameterError("refusing to write CSV with no rows")
-    columns = header.split(",")
+        raise InvalidParameterError("refusing to write an output with no rows")
+    text = format_rows(rows, header, plot_data)
     try:
         with open(path, "w", newline="") as f:
-            f.write(header + "\n")
-            for row in rows:
-                f.write(",".join(_format_value(row[c]) for c in columns) + "\n")
+            f.write(text)
     except OSError as exc:
-        raise IOError(f"cannot write CSV to {path}: {exc}") from exc
-    _write_manifest(path, config or {})
-
-
-def emit_plot_data(rows: list[dict], path: str, header: str,
-                   config: dict | None = None) -> None:
-    """Whitespace-delimited variant of the same columns, for gnuplot."""
-    if not rows:
-        raise InvalidParameterError("refusing to write plot data with no rows")
-    columns = header.split(",")
-    try:
-        with open(path, "w", newline="") as f:
-            f.write("# " + " ".join(columns) + "\n")
-            for row in rows:
-                f.write(" ".join(_format_value(row[c]) for c in columns) + "\n")
-    except OSError as exc:
-        raise IOError(f"cannot write plot data to {path}: {exc}") from exc
-    _write_manifest(path, config or {})
+        raise IOError(f"cannot write {path}: {exc}") from exc
+    manifest = {"config": config or {}, "version": VERSION}
+    with open(path + ".manifest.json", "w") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.write("\n")

@@ -14,7 +14,7 @@ import numpy as np
 from .cspace import SemanticPoint
 from .errors import InvalidParameterError, MalformedPacketError
 
-#: (lo, hi, circular) per dimension, in packet order (r, h, s, b).
+#: The conceptual space: (lo, hi, circular) per dimension, in packet order (r, h, s, b).
 DIMENSION_RANGES = (
     (1.0, 2.5, False),
     (0.0, 1.0, True),
@@ -28,7 +28,6 @@ class QuantizerSpec:
     """Uniform mid-rise quantizer: n_b bits per dimension."""
 
     n_b: int
-    ranges: tuple = DIMENSION_RANGES
 
     def __post_init__(self):
         if not 1 <= self.n_b <= 16:
@@ -50,14 +49,26 @@ class ChannelParams:
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise InvalidParameterError("snr_db must be finite (or None for noiseless)")
+        if self.snr_db is not None:
+            _linear_snr(self.snr_db)
+
+
+def _linear_snr(snr_db: float) -> float:
+    """Average symbol SNR 10^(snr_db/10), which must be a positive finite float."""
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not 0.0 < snr < math.inf:
+        raise InvalidParameterError(
+            f"snr_db={snr_db} has no positive finite linear SNR")
+    return snr
 
 
 def quantize(p: SemanticPoint, spec: QuantizerSpec) -> np.ndarray:
     """Mid-rise cell indices for each dimension; hue wraps, the rest clamp."""
     indices = np.empty(4, dtype=np.int64)
-    for i, (v, (lo, hi, circular)) in enumerate(zip(p.as_tuple(), spec.ranges)):
+    for i, (v, (lo, hi, circular)) in enumerate(zip(p.as_tuple(), DIMENSION_RANGES)):
         width = (hi - lo) / spec.levels
         if circular:
             v = lo + (v - lo) % (hi - lo)
@@ -74,7 +85,7 @@ def dequantize(indices: np.ndarray, spec: QuantizerSpec) -> SemanticPoint:
     if (indices < 0).any() or (indices >= spec.levels).any():
         raise MalformedPacketError(f"index out of range for n_b={spec.n_b}")
     vals = [lo + (int(idx) + 0.5) * (hi - lo) / spec.levels
-            for idx, (lo, hi, _) in zip(indices, spec.ranges)]
+            for idx, (lo, hi, _) in zip(indices, DIMENSION_RANGES)]
     return SemanticPoint(*vals)
 
 
@@ -121,14 +132,14 @@ def rayleigh_awgn(symbols: np.ndarray, params: ChannelParams
     if params.snr_db is None:
         return symbols.copy(), np.ones_like(symbols)
     fades = params.rng.rayleigh(scale=math.sqrt(0.5), size=symbols.shape)
-    snr = 10.0 ** (params.snr_db / 10.0)
+    snr = _linear_snr(params.snr_db)
     noise = params.rng.normal(0.0, math.sqrt(0.5 / snr), size=symbols.shape)
     return fades * symbols + noise, fades
 
 
 def analytic_ber(snr_db: float) -> float:
     """Average BER of coherent BPSK on a Rayleigh channel: closed form."""
-    snr = 10.0 ** (snr_db / 10.0)
+    snr = _linear_snr(snr_db)
     return 0.5 * (1.0 - math.sqrt(snr / (1.0 + snr)))
 
 

@@ -21,13 +21,7 @@ from .errors import InvalidParameterError
 IMAGE_SIZE = 25
 
 #: Number of polygon sides per concept; None means circle.
-CONCEPT_SHAPES = {
-    "yellow-square": 4,
-    "red-triangle": 3,
-    "red-octagon": 8,
-    "red-circle": None,
-    "blue-circle": None,
-}
+CONCEPT_SHAPES = {label: n for label, n, _ in cspace.PROTOTYPE_SPECS}
 
 HUE_JITTER = 0.03
 SAT_RANGE = (0.9, 1.0)
@@ -53,9 +47,7 @@ class SceneSpec:
 
 
 def sample_spec(concept: str, rng: np.random.Generator) -> SceneSpec:
-    """Draw a jittered scene for the given concept label."""
-    if concept not in CONCEPT_SHAPES:
-        raise InvalidParameterError(f"unknown concept {concept!r}")
+    """Draw a jittered scene for a concept label (InvalidParameterError if unknown)."""
     proto_hue = cspace.concept_by_label(concept).prototype.h
     hue = (proto_hue + rng.uniform(-HUE_JITTER, HUE_JITTER)) % 1.0
     sat = rng.uniform(*SAT_RANGE)
@@ -69,12 +61,8 @@ def sample_spec(concept: str, rng: np.random.Generator) -> SceneSpec:
                      radius, rotation, center)
 
 
-def point_in_shape(x: float, y: float, spec: SceneSpec) -> bool:
-    """Whether a pixel center lies inside the scene's shape (boundary counts)."""
-    return bool(_shape_mask(np.asarray([x], float), np.asarray([y], float), spec)[0])
-
-
 def _shape_mask(xs: np.ndarray, ys: np.ndarray, spec: SceneSpec) -> np.ndarray:
+    """Whether each pixel center lies inside the scene's shape (boundary counts)."""
     cx, cy = spec.center
     dx = xs - cx
     dy = ys - cy

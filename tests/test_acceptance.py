@@ -166,7 +166,8 @@ def test_criterion_8_property_suites(criterion_report):
             point = cspace.SemanticPoint(*row)
             back = phy.dequantize(phy.quantize(point, spec), spec)
             for v, vq, (lo, hi, circular) in zip(point.as_tuple(),
-                                                 back.as_tuple(), spec.ranges):
+                                                 back.as_tuple(),
+                                                 phy.DIMENSION_RANGES):
                 half = (hi - lo) / spec.levels / 2.0
                 err = (cspace.circular_distance(v, vq) if circular
                        else abs(v - vq))

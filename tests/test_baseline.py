@@ -1,11 +1,13 @@
 """Traditional pixel-transmission baseline."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semcom import baseline, scenegen
+from semcom import baseline, harness, scenegen
 from semcom.errors import MalformedPacketError
 
 
@@ -22,7 +24,8 @@ class TestRates:
         assert round(100.0 * baseline.rate_reduction(), 2) == 99.79
 
     def test_pixel_packet_bits(self):
-        assert baseline.pixel_packet_bits(8) == 15000
+        img = np.zeros((25, 25, 3))
+        assert baseline.pixel_quantize(img, 8).size == baseline.traditional_rate_bits(8)
         assert baseline.PIXEL_VALUES == 1875
 
 
@@ -32,7 +35,7 @@ class TestPixelCodec:
     def test_roundtrip_within_half_cell(self, seed, n_b):
         img = np.random.default_rng(seed).uniform(0.0, 1.0, (25, 25, 3))
         bits = baseline.pixel_quantize(img, n_b)
-        assert bits.size == baseline.pixel_packet_bits(n_b)
+        assert bits.size == baseline.traditional_rate_bits(n_b)
         back = baseline.pixel_dequantize(bits, n_b)
         assert np.abs(back - img).max() <= 0.5 / (1 << n_b) + 1e-12
 
@@ -55,24 +58,24 @@ class TestPixelCodec:
 
 
 class TestClassifyReceived:
+    """The receiver's decode step both trial functions share, on images."""
+
     def test_clean_scene_classified(self, rng):
         for concept in scenegen.CONCEPT_SHAPES:
             spec = scenegen.sample_spec(concept, rng)
             img = scenegen.render(spec, rng)
-            label, failure = baseline.classify_received(img)
-            assert not failure
-            assert label == concept
+            rec = harness._decode(concept, None, None, None, harness._encode(img))
+            assert not rec.degenerate
+            assert rec.decoded == concept
 
     def test_unusable_image_flags_failure(self):
         img = np.full((25, 25, 3), 0.5)
-        label, failure = baseline.classify_received(img)
-        assert failure
-        assert label == "blue-circle"  # lexicographically first concept
+        rec = harness._decode("red-circle", None, None, None, harness._encode(img))
+        assert rec.degenerate and rec.semantic_error
+        assert rec.decoded == "blue-circle"  # lexicographically first concept
+        assert math.isnan(rec.distortion) and not rec.syntactic_error
 
     def test_quantized_clean_scene_survives(self, rng):
-        spec = scenegen.sample_spec("red-triangle", rng)
-        img = scenegen.render(spec, rng)
-        back = baseline.pixel_dequantize(baseline.pixel_quantize(img, 8), 8)
-        label, failure = baseline.classify_received(back)
-        assert not failure
-        assert label == "red-triangle"
+        rec = harness.run_traditional_trial("red-triangle", 8, None, rng)
+        assert not rec.degenerate
+        assert rec.decoded == "red-triangle"

@@ -1,9 +1,11 @@
 """Command-line interface, exercised in-process through main()."""
 
 import csv
+import json
 import os
 
 import numpy as np
+import pytest
 
 from semcom import harness, scenegen
 from semcom.cli import main
@@ -38,6 +40,19 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "workers" in err
 
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+    def test_extreme_snr_fails_cleanly(self, snr_db, capsys):
+        code = main(["simulate", "--trials", "2", "--snr-db", snr_db])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", [["--out", "x.csv"], ["--plot-data"]])
+    def test_rejects_output_options(self, option, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--trials", "2", *option])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_noiseless_channel(self, capsys):
         code = main(["simulate", "--trials", "5", "--seed", "3",
                      "--snr-db", "none"])
@@ -71,6 +86,21 @@ class TestSweeps:
         lines = capsys.readouterr().out.strip().split("\n")
         assert [line.split(",")[0] for line in lines[1:]] == ["15", "None"]
         assert lines[2].split(",")[1:3] == ["0", "0"]  # no bit errors
+
+    @pytest.mark.parametrize("option", [["--nb", "2"], ["--snr-db", "5"],
+                                        ["--system", "traditional"]])
+    def test_sweep_rate_rejects_link_options(self, option, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep-rate", "--trials", "2", *option])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_rate_manifest_records_only_what_it_read(self, tmp_path, capsys):
+        path = str(tmp_path / "rate.csv")
+        assert main(["sweep-rate", "--trials", "2", "--seed", "1", "--out", path]) == 0
+        with open(path + ".manifest.json") as f:
+            config = json.load(f)["config"]
+        assert not {"nb", "snr_db", "system"} & set(config)
+        assert config["trials"] == 2 and config["seed"] == 1
 
     def test_sweep_rate_reports_reduction(self, tmp_path, capsys):
         path = str(tmp_path / "rate.csv")
@@ -140,6 +170,38 @@ class TestFuncomp:
         out = capsys.readouterr().out
         assert "{0,2}" in out and "{1,3}" in out
         assert "min_bits=1" in out
+
+    def write_spec(self, tmp_path, rows):
+        spec = tmp_path / "fn.csv"
+        spec.write_text("\n".join(rows) + "\n")
+        return str(spec)
+
+    def assert_one_error_line(self, spec, capsys):
+        assert main(["funcomp", "classes", "--spec", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_classes_spec_without_output_column(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, ["element,probability", "a,0.5", "b,0.5"])
+        self.assert_one_error_line(spec, capsys)
+
+    def test_classes_probability_for_some_rows_only(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, ["element,output,probability",
+                                          "a,0,0.5", "b,1,"])
+        self.assert_one_error_line(spec, capsys)
+
+    def test_classes_non_numeric_probability(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, ["element,output,probability",
+                                          "a,0,half", "b,1,0.5"])
+        self.assert_one_error_line(spec, capsys)
+
+    def test_classes_short_line_and_undecodable_file(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, ["output,element", "0,a", "1"])
+        self.assert_one_error_line(spec, capsys)
+        with open(spec, "wb") as f:
+            f.write(b"\xff\xfe\x00element,output\n")
+        self.assert_one_error_line(spec, capsys)
 
     def test_rate_search_noiseless(self, capsys):
         code = main(["funcomp", "rate-search", "--tau", "10.0", "--noiseless",

@@ -188,19 +188,6 @@ class TestSemanticPointValidation:
         assert cspace.SemanticPoint(*p.as_tuple()) == p
 
 
-class TestQualityDimension:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(InvalidParameterError):
-            cspace.QualityDimension("x", "spiral")
-
-    def test_rejects_inverted_range(self):
-        with pytest.raises(InvalidParameterError):
-            cspace.QualityDimension("x", "linear", lo=1.0, hi=0.0)
-
-    def test_space_weights_sum_to_one(self):
-        assert sum(d.weight for d in cspace.SPACE_DIMENSIONS) == pytest.approx(1.0)
-
-
 class TestPrototypeTable:
     def test_labels_sorted(self):
         labels = [c.label for c in cspace.default_concepts()]

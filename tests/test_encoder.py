@@ -1,9 +1,13 @@
 """Analytic encoder: segmentation, color statistics, shape classification."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
+from hypothesis import strategies as st
 
 from semcom import baseline, cspace, encoder, harness, phy, scenegen
 from semcom.errors import (DegenerateHueError, DegenerateSceneError,
@@ -16,6 +20,23 @@ def noiseless_render(concept, rng):
                                spec.circumradius, spec.rotation, spec.center,
                                pixel_noise_sigma=0.0)
     return clean, scenegen.render(clean)
+
+
+def noisy_scene(seed, concept, sigma):
+    rng = np.random.default_rng(seed)
+    spec = scenegen.sample_spec(concept, rng)
+    return scenegen.render(dataclasses.replace(spec, pixel_noise_sigma=sigma), rng)
+
+
+#: Finite images in [0, 1]: arbitrary arrays, uniform noise, and scenes of
+#: every concept under pixel noise up to 0.6 (about a third give a point).
+any_image = st.one_of(
+    hnp.arrays(np.float64, (25, 25, 3), elements=st.floats(0.0, 1.0)),
+    st.builds(lambda seed: np.random.default_rng(seed).uniform(0.0, 1.0, (25, 25, 3)),
+              st.integers(0, 2 ** 32 - 1)),
+    st.builds(noisy_scene, st.integers(0, 2 ** 32 - 1),
+              st.sampled_from(sorted(scenegen.CONCEPT_SHAPES)), st.floats(0.0, 0.6)),
+)
 
 
 def flat_image(h, s, v):
@@ -148,6 +169,15 @@ class TestShapeRatio:
 
 
 class TestEncode:
+    @given(any_image)
+    @settings(max_examples=60, deadline=None)
+    def test_any_image_gives_a_point_or_a_semcom_error(self, img):
+        try:
+            point = encoder.encode(img)
+        except SemcomError:
+            return
+        assert isinstance(point, cspace.SemanticPoint)  # validated on construction
+
     def test_deterministic(self, rng):
         spec = scenegen.sample_spec("blue-circle", rng)
         img = scenegen.render(spec, rng)

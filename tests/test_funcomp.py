@@ -50,6 +50,15 @@ class TestFiniteFunction:
             funcomp.FiniteFunction([0, 1], {0: "a", 1: "b"},
                                    {0: 0.9, 1: 0.3})
 
+    def test_rejects_probabilities_not_covering_the_domain(self):
+        with pytest.raises(InvalidParameterError):
+            funcomp.FiniteFunction([0, 1], {0: "a", 1: "b"}, {0: 1.0})
+
+    @pytest.mark.parametrize("p0,p1", [(math.nan, 1.0), (-0.5, 1.5)])
+    def test_rejects_nan_or_negative_probability(self, p0, p1):
+        with pytest.raises(InvalidParameterError):
+            funcomp.FiniteFunction([0, 1], {0: "a", 1: "b"}, {0: p0, 1: p1})
+
     def test_uniform_default(self):
         f = mod2_function()
         assert f.probabilities[0] == pytest.approx(0.25)

@@ -10,12 +10,15 @@ the numbers regenerates the files with
 and says in the change log why they moved.
 """
 
+import contextlib
+import io
 import os
 import sys
 
 import pytest
 
 from semcom import funcomp, harness
+from semcom.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SEED = 7
@@ -48,11 +51,33 @@ def _rate_search(tmp_dir) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cli_stdout(args) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(args) == 0
+    return out.getvalue()
+
+
+def _sweep_snr_stdout(tmp_dir) -> str:
+    return _cli_stdout(["sweep-snr", "--trials", "20", "--seed", str(SEED),
+                        "--nb", "4", "--snr-db", "0,none"])
+
+
+def _plot_data(tmp_dir) -> str:
+    path = os.path.join(tmp_dir, "out.dat")
+    _cli_stdout(["sweep-snr", "--trials", "20", "--seed", str(SEED),
+                 "--snr-db", "10,none", "--out", path, "--plot-data"])
+    with open(path) as f:
+        return f.read()
+
+
 CASES = {
     "sweep_snr_semantic.csv": lambda d: _sweep_snr("semantic", d),
     "sweep_snr_traditional.csv": lambda d: _sweep_snr("traditional", d),
     "sweep_rate.csv": _sweep_rate,
     "rate_search.txt": _rate_search,
+    "sweep_snr_stdout.csv": _sweep_snr_stdout,
+    "sweep_snr_plot.dat": _plot_data,
 }
 
 

@@ -7,8 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from semcom import cspace, harness, phy
-from semcom.errors import InvalidParameterError
+from semcom import cspace, encoder, harness, phy, scenegen
+from semcom.errors import DegenerateSceneError, InvalidParameterError
 
 
 class TestTrialRng:
@@ -55,6 +55,20 @@ class TestRunTrial:
         assert a.received_point == b.received_point
         assert a.decoded == b.decoded
         assert a.distortion == b.distortion
+
+
+    def test_unencodable_scene_makes_no_channel_draws(self, monkeypatch):
+        def give_up(img):
+            raise DegenerateSceneError("no foreground")
+
+        monkeypatch.setattr(encoder, "encode", give_up)
+        rng = harness.trial_rng(4, 0)
+        rec = harness.run_trial("red-octagon", 8, 10.0, rng)
+        assert rec.degenerate and rec.decoded == "blue-circle"
+        assert rec.bits is None and not rec.syntactic_error
+        scene_only = harness.trial_rng(4, 0)
+        scenegen.render(scenegen.sample_spec("red-octagon", scene_only), scene_only)
+        assert rng.bit_generator.state == scene_only.bit_generator.state
 
 
 class TestTraditionalTrial:
@@ -137,6 +151,13 @@ class TestRunTrials:
             with pytest.raises(InvalidParameterError):
                 harness.ExperimentConfig(workers=workers)
 
+    @pytest.mark.parametrize("system,n_b,trials", [
+        ("quantum", 8, 2), ("semantic", 8, 0), ("traditional", 8, 0),
+        ("traditional", 0, 2), ("traditional", 20, 2), ("semantic", 17, 2)])
+    def test_rejects_a_batch_that_cannot_run(self, system, n_b, trials):
+        with pytest.raises(InvalidParameterError):
+            harness.run_trials(system, n_b, None, trials, 0)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_fewer_than_one_worker(self, workers):
         with pytest.raises(InvalidParameterError):
@@ -199,7 +220,7 @@ class TestEmit:
 
     def test_plot_data_layout(self, tmp_path):
         path = str(tmp_path / "out.dat")
-        harness.emit_plot_data(self.rows(), path, harness.SNR_SWEEP_HEADER)
+        harness.emit_csv(self.rows(), path, harness.SNR_SWEEP_HEADER, plot_data=True)
         with open(path) as f:
             lines = f.read().strip().split("\n")
         assert lines[0] == "# " + harness.SNR_SWEEP_HEADER.replace(",", " ")

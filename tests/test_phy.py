@@ -37,7 +37,7 @@ class TestQuantizeDequantize:
         spec = phy.QuantizerSpec(n_b)
         q = phy.dequantize(phy.quantize(p, spec), spec)
         for (v, vq, (lo, hi, circular)) in zip(p.as_tuple(), q.as_tuple(),
-                                               spec.ranges):
+                                               phy.DIMENSION_RANGES):
             half = (hi - lo) / spec.levels / 2.0
             err = (cspace.circular_distance(v, vq) if circular
                    else abs(v - vq))
@@ -121,6 +121,23 @@ class TestBpsk:
     def test_rejects_non_finite_snr(self):
         with pytest.raises(InvalidParameterError):
             phy.ChannelParams(math.inf)
+
+    @pytest.mark.parametrize("snr_db", [4000.0, 3090.0, -4000.0, -math.inf, math.nan])
+    def test_rejects_snr_without_a_positive_finite_linear_value(self, snr_db):
+        # 10^(snr/10) overflows above about 3082 dB and is 0.0 below about -3236 dB
+        with pytest.raises(InvalidParameterError):
+            phy.ChannelParams(snr_db)
+        with pytest.raises(InvalidParameterError):
+            phy.analytic_ber(snr_db)
+
+    @pytest.mark.parametrize("snr_db", [3000.0, -3000.0])
+    def test_extreme_finite_snr_still_transmits(self, snr_db, rng):
+        bits = rng.integers(0, 2, size=64).astype(np.uint8)
+        out = phy.transmit_packet(bits, phy.ChannelParams(snr_db, rng))
+        assert out.shape == bits.shape
+        assert 0.0 <= phy.analytic_ber(snr_db) <= 0.5
+        if snr_db > 0:
+            assert np.array_equal(out, bits)
 
 
 class TestChannelStatistics:
