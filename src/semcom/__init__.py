@@ -7,7 +7,6 @@ from .cspace import (
     SemanticPoint,
     circular_distance,
     decode_concept,
-    default_concepts,
     gamma,
     polygon_ratio,
     semantic_loss,
@@ -19,7 +18,6 @@ __all__ = [
     "SemanticPoint",
     "circular_distance",
     "decode_concept",
-    "default_concepts",
     "gamma",
     "polygon_ratio",
     "semantic_loss",

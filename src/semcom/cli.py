@@ -48,13 +48,10 @@ def _emit(rows, args, header) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = harness.ExperimentConfig(system=args.system, n_b=args.nb,
-                                   trials=args.trials, base_seed=args.seed,
-                                   workers=args.workers)
     snr = args.snr_db[0] if args.snr_db else None
-    agg = harness.run_trials(cfg.system, cfg.n_b, snr, cfg.trials,
-                             cfg.base_seed, cfg.workers)
-    print(f"system={cfg.system} nb={cfg.n_b} snr_db={snr} trials={agg.trials}")
+    agg = harness.run_trials(args.system, args.nb, snr, args.trials,
+                             args.seed, args.workers)
+    print(f"system={args.system} nb={args.nb} snr_db={snr} trials={agg.trials}")
     print(f"p_syntactic={agg.p_syntactic:.6g} "
           f"p_semantic={agg.p_semantic:.6g} "
           f"mean_distortion={agg.mean_distortion:.6g} "
@@ -141,9 +138,9 @@ def cmd_funcomp_rate_search(args) -> int:
     snr = None if args.noiseless else args.snr
     result = funcomp.semantic_rate_search(args.tau, snr_db=snr,
                                           trials=args.trials, base_seed=args.seed)
-    print("nb,mean_distortion,stderr,feasible")
-    for p in result.points:
-        print(f"{p.n_b},{p.mean_distortion:.6g},{p.stderr:.6g},{int(p.feasible)}")
+    rows = [{"nb": p.n_b, "mean_distortion": p.mean_distortion,
+             "stderr": p.stderr, "feasible": int(p.feasible)} for p in result.points]
+    print(harness.format_rows(rows, "nb,mean_distortion,stderr,feasible"), end="")
     if result.feasible:
         print(f"minimal_nb={result.minimal_n_b}")
     else:

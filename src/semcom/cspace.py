@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidParameterError
 
@@ -76,24 +76,23 @@ def gamma(h1: float, h2: float, rho: float = DEFAULT_RHO) -> float:
     return m - math.log(0.5 * math.exp(-rho * (d1 - m)) + 0.5 * math.exp(-rho * (d2 - m))) / rho
 
 
-def semantic_loss(p: SemanticPoint, q: SemanticPoint, rho: float = DEFAULT_RHO,
-                  smooth: bool = False) -> float:
+def semantic_loss(p: SemanticPoint, q: SemanticPoint) -> float:
     """Mean of squared per-dimension differences (the training-style loss).
 
-    With smooth on, the hue term uses gamma; otherwise the exact circular
-    distance, making the loss zero iff p == q.
+    The hue term is the exact circular distance, so the loss is zero iff
+    p == q.
     """
-    hue = gamma(p.h, q.h, rho) if smooth else circular_distance(p.h, q.h)
+    hue = circular_distance(p.h, q.h)
     return 0.25 * ((p.r - q.r) ** 2 + (p.s - q.s) ** 2 + (p.b - q.b) ** 2 + hue ** 2)
 
 
 def semantic_metric(p: SemanticPoint, q: SemanticPoint) -> float:
-    """True metric on the space: sqrt of the exact-mode loss.
+    """True metric on the space: sqrt of the loss.
 
     An L2 combination of per-dimension metrics, so the triangle
     inequality holds (the raw squared loss does not satisfy it).
     """
-    return math.sqrt(semantic_loss(p, q, smooth=False))
+    return math.sqrt(semantic_loss(p, q))
 
 
 def decode_concept(p_hat: SemanticPoint, concepts: Iterable[Concept]) -> Concept:
@@ -147,22 +146,17 @@ CONCEPTS = tuple(sorted(
     key=lambda c: c.label))
 
 
-def default_concepts() -> list[Concept]:
-    """The five-concept set, in ascending label order, as a new list."""
-    return list(CONCEPTS)
-
-
-def concept_by_label(label: str, concepts: Sequence[Concept] | None = None) -> Concept:
-    for c in concepts or CONCEPTS:
+def concept_by_label(label: str) -> Concept:
+    for c in CONCEPTS:
         if c.label == label:
             return c
     raise InvalidParameterError(f"unknown concept label {label!r}")
 
 
-def prototypes_csv(concepts: Sequence[Concept] | None = None) -> str:
+def prototypes_csv() -> str:
     """Prototype table as CSV text: label,r,h,s,b at 6 decimal places."""
     lines = ["label,r,h,s,b"]
-    for c in concepts or CONCEPTS:
+    for c in CONCEPTS:
         p = c.prototype
         lines.append(f"{c.label},{p.r:.6f},{p.h:.6f},{p.s:.6f},{p.b:.6f}")
     return "\n".join(lines) + "\n"

@@ -58,13 +58,11 @@ def estimate_color(img: np.ndarray, mask: np.ndarray) -> tuple[float, float, flo
 
 
 def boundary_mask(mask: np.ndarray) -> np.ndarray:
-    """Foreground pixels with a non-foreground 4-neighbor or on the frame edge."""
+    """Foreground pixels with a 4-neighbor outside the foreground or the frame."""
     padded = np.pad(mask, 1, constant_values=False)
     interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
                 & padded[1:-1, :-2] & padded[1:-1, 2:])
-    edge = np.zeros_like(mask)
-    edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
-    return mask & (~interior | edge)
+    return mask & ~interior
 
 
 #: Candidate shapes the radial model is fitted against (None = circle).
@@ -115,8 +113,7 @@ _HILL_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, 
 
 
 def _polygon_slacks(bx: np.ndarray, by: np.ndarray, fx: np.ndarray,
-                    fy: np.ndarray, cx0: float, cy0: float, n: int,
-                    rot_seed: float):
+                    fy: np.ndarray, cx0: float, cy0: float, n: int):
     """Slack evaluator of the n-gon family for one mask.
 
     Takes the background pixels of the band and the foreground pixels that
@@ -124,7 +121,7 @@ def _polygon_slacks(bx: np.ndarray, by: np.ndarray, fx: np.ndarray,
     slack at each center, exact wherever it reaches floor and no larger
     elsewhere (see _consistency_slack for the bounds it prunes with).
     """
-    rots = rot_seed + np.arange(36) * (2.0 * math.pi / n / 36)
+    rots = np.arange(36) * (2.0 * math.pi / n / 36)
     w = 2.0 * math.pi / n
     normal = (np.arange(n)[:, None] + 0.5) * w + rots  # (normal, rotation)
     nx = np.cos(normal)
@@ -192,8 +189,7 @@ def _polygon_slacks(bx: np.ndarray, by: np.ndarray, fx: np.ndarray,
     return slacks
 
 
-def _consistency_slack(mask: np.ndarray, n: int | None,
-                       rot_seed: float = 0.0) -> float:
+def _consistency_slack(mask: np.ndarray, n: int | None) -> float:
     """Largest margin by which some shape of the family reproduces the mask.
 
     For a candidate center (and rotation), every pixel reduces to a scalar
@@ -251,8 +247,7 @@ def _consistency_slack(mask: np.ndarray, n: int | None,
         # a pixel extreme along a direction has a 4-neighbour outside the
         # band's foreground that way, so only the rim of it can be
         rim = boundary_mask((flat & band).reshape(mask.shape)).ravel()
-        slacks = _polygon_slacks(px[~fg], py[~fg], gx[rim], gy[rim], cx0, cy0,
-                                 n, rot_seed)
+        slacks = _polygon_slacks(px[~fg], py[~fg], gx[rim], gy[rim], cx0, cy0, n)
 
     offsets = np.arange(-0.6, 0.61, 0.3)
     grid_x = cx0 + np.repeat(offsets, offsets.size)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError
-from .harness import CONCEPT_LABELS, Aggregate, run_trial, trial_rng
+from .harness import Aggregate, _check_batch, draw_trial, run_trial
 
 
 @dataclass
@@ -107,19 +107,18 @@ def semantic_rate_search(tau: float, snr_db: float | None = None,
     estimated mean end-to-end distortion is <= tau, with all sweep points
     retained. Infeasible thresholds (below the encoder floor) yield
     minimal_n_b = None. A point whose trials are all degenerate has nan
-    mean and stderr and is infeasible.
+    mean and stderr and is infeasible. A max_n_b outside 1..16 or fewer
+    than one trial raises InvalidParameterError before any trial runs.
     """
     if tau <= 0:
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    _check_batch("semantic", max_n_b, trials, 1)
     n_b_values = range(1, max_n_b + 1)
     aggs = [Aggregate() for _ in n_b_values]
     # scene by scene, so the fits of a scene's n_b points hit encoder's memo
     for i in range(trials):
         for n_b, agg in zip(n_b_values, aggs):
-            rng = trial_rng(base_seed, i)
-            concept = CONCEPT_LABELS[rng.integers(len(CONCEPT_LABELS))]
+            concept, rng = draw_trial(base_seed, i)
             agg.add(run_trial(concept, n_b, snr_db, rng))
     result = RateSearchResult(None)
     for n_b, agg in zip(n_b_values, aggs):

@@ -7,7 +7,6 @@ and reruns are byte-for-byte reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -24,6 +23,9 @@ CONCEPT_LABELS = tuple(c.label for c in cspace.CONCEPTS)
 SNR_SWEEP_HEADER = ("snr_db,p_syntactic,p_syntactic_se,p_semantic,p_semantic_se,"
                     "mean_distortion,distortion_se")
 RATE_SWEEP_HEADER = "system,nb,rate_bits,p_semantic,p_semantic_se"
+#: Quantizer resolutions and SNR (dB) of the rate table.
+RATE_SWEEP_NB = (2, 5, 8)
+RATE_SWEEP_SNR_DB = 15.0
 
 
 @dataclass
@@ -70,6 +72,12 @@ def _check_batch(system: str, n_b: int, trials: int, workers: int) -> None:
 def trial_rng(base_seed: int, index: int) -> np.random.Generator:
     """Independent stream for one trial: hash of (base_seed, index)."""
     return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(index,)))
+
+
+def draw_trial(base_seed: int, index: int) -> tuple[str, np.random.Generator]:
+    """A trial's concept, drawn uniformly from its stream, and the stream after it."""
+    rng = trial_rng(base_seed, index)
+    return CONCEPT_LABELS[rng.integers(len(CONCEPT_LABELS))], rng
 
 
 def _encode(img: np.ndarray) -> cspace.SemanticPoint | None:
@@ -149,10 +157,6 @@ class Aggregate:
             self.distortion_sq_sum += distortion ** 2
             self.distortion_count += 1
 
-    def merge(self, other: "Aggregate") -> None:
-        for f in dataclasses.fields(Aggregate):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
     @property
     def p_syntactic(self) -> float:
         return self.syntactic_errors / self.trials
@@ -184,8 +188,7 @@ def _run_range(system: str, n_b: int, snr_db: float | None,
     trial_fn = run_trial if system == "semantic" else run_traditional_trial
     out = []
     for i in indices:
-        rng = trial_rng(base_seed, i)
-        concept = CONCEPT_LABELS[rng.integers(len(CONCEPT_LABELS))]
+        concept, rng = draw_trial(base_seed, i)
         rec = trial_fn(concept, n_b, snr_db, rng)
         out.append((rec.syntactic_error, rec.semantic_error,
                     rec.degenerate, rec.distortion))
@@ -237,15 +240,14 @@ def sweep_snr(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def sweep_rate(cfg: ExperimentConfig, n_b_values=(2, 5, 8),
-               snr_db: float = 15.0) -> list[dict]:
-    """Rate-vs-semantic-error table rows for both systems at one SNR."""
+def sweep_rate(cfg: ExperimentConfig) -> list[dict]:
+    """Rate-vs-semantic-error table rows for both systems at RATE_SWEEP_SNR_DB."""
     rows = []
     for system in ("semantic", "traditional"):
         rate_fn = (baseline.semantic_rate_bits if system == "semantic"
                    else baseline.traditional_rate_bits)
-        for n_b in n_b_values:
-            agg = run_trials(system, n_b, snr_db, cfg.trials,
+        for n_b in RATE_SWEEP_NB:
+            agg = run_trials(system, n_b, RATE_SWEEP_SNR_DB, cfg.trials,
                              cfg.base_seed, cfg.workers)
             rows.append({
                 "system": system,

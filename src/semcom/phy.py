@@ -7,7 +7,7 @@ coherent detection, verified against the closed-form average BER.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class ChannelParams:
     """
 
     snr_db: float | None
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+    rng: np.random.Generator
 
     def __post_init__(self):
         if self.snr_db is not None:

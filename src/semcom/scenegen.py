@@ -8,6 +8,7 @@ stay analytic and self-contained.
 
 from __future__ import annotations
 
+import colorsys
 import csv
 import math
 import os
@@ -43,7 +44,6 @@ class SceneSpec:
     rotation: float
     center: tuple[float, float]
     pixel_noise_sigma: float = PIXEL_NOISE_SIGMA
-    background_value: float = BACKGROUND_VALUE
 
 
 def sample_spec(concept: str, rng: np.random.Generator) -> SceneSpec:
@@ -81,38 +81,22 @@ def _shape_mask(xs: np.ndarray, ys: np.ndarray, spec: SceneSpec) -> np.ndarray:
 def render(spec: SceneSpec, rng: np.random.Generator | None = None) -> np.ndarray:
     """Rasterize a spec to a (25, 25, 3) float image with channels in [0, 1].
 
-    Pixel centers inside the shape get the fill color, the rest the
-    background gray; i.i.d. Gaussian noise is added per channel and
+    Pixel centers inside the shape get the fill color (hue taken mod 1,
+    saturation and value clamped to [0, 1]), the rest the background gray; i.i.d. Gaussian noise is added per channel and
     clamped. rng may be omitted when pixel_noise_sigma is 0.
     """
     xs, ys = np.meshgrid(np.arange(IMAGE_SIZE, dtype=float),
                          np.arange(IMAGE_SIZE, dtype=float))
     mask = _shape_mask(xs, ys, spec)
     h, s, v = spec.fill_hsv
-    fill = hsv_to_rgb(np.asarray([h]), np.asarray([s]), np.asarray([v]))
-    img = np.full((IMAGE_SIZE, IMAGE_SIZE, 3), spec.background_value)
-    img[mask] = np.stack(fill, axis=-1)[0]
+    img = np.full((IMAGE_SIZE, IMAGE_SIZE, 3), BACKGROUND_VALUE)
+    img[mask] = colorsys.hsv_to_rgb(h % 1.0, min(max(s, 0.0), 1.0),
+                                    min(max(v, 0.0), 1.0))
     if spec.pixel_noise_sigma > 0:
         if rng is None:
             raise InvalidParameterError("noisy render requires an rng")
         img = img + rng.normal(0.0, spec.pixel_noise_sigma, img.shape)
     return np.clip(img, 0.0, 1.0)
-
-
-def hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray):
-    """Standard hexcone HSV -> RGB, vectorized; inputs clamped to range."""
-    h = np.asarray(h, float) % 1.0
-    s = np.clip(np.asarray(s, float), 0.0, 1.0)
-    v = np.clip(np.asarray(v, float), 0.0, 1.0)
-    i = np.floor(h * 6.0).astype(int) % 6
-    f = h * 6.0 - np.floor(h * 6.0)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return r, g, b
 
 
 def rgb_to_hsv(r: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -190,8 +174,11 @@ def read_ppm(path: str) -> np.ndarray:
 def dump_dataset(out_dir: str, per_concept: int, rng: np.random.Generator) -> str:
     """Render a labeled dataset of PPM files plus a labels CSV.
 
-    Returns the path of the labels file.
+    Returns the path of the labels file. A count below 1 raises
+    InvalidParameterError before anything is written.
     """
+    if per_concept < 1:
+        raise InvalidParameterError(f"per_concept must be >= 1, got {per_concept}")
     os.makedirs(out_dir, exist_ok=True)
     labels_path = os.path.join(out_dir, "labels.csv")
     with open(labels_path, "w", newline="") as f:

@@ -206,7 +206,7 @@ def test_criterion_8_property_suites(criterion_report):
 
 def test_criterion_9_encoder_floor(criterion_report):
     """Noiseless-channel decoding: >= 99% accuracy; exact shape ratios."""
-    concepts = cspace.default_concepts()
+    concepts = cspace.CONCEPTS
     errors = 0
     total = 0
     per_concept = []

@@ -157,6 +157,15 @@ class TestRenderDataset:
         assert code == 0
         assert os.path.exists(os.path.join(out, "labels.csv"))
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_rejects_count_below_one_writing_nothing(self, count, tmp_path, capsys):
+        out = tmp_path / "ds"
+        code = main(["render-dataset", "--per-concept", count, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestFuncomp:
     def test_classes_mod2(self, tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Analytic encoder: segmentation, color statistics, shape classification."""
 
+import colorsys
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from semcom import baseline, cspace, encoder, harness, phy, scenegen
 from semcom.errors import (DegenerateHueError, DegenerateSceneError,
@@ -40,9 +42,7 @@ any_image = st.one_of(
 
 
 def flat_image(h, s, v):
-    fill = np.stack(scenegen.hsv_to_rgb(np.asarray([h]), np.asarray([s]),
-                                        np.asarray([v])), axis=-1)[0]
-    return np.tile(fill, (25, 25, 1))
+    return np.tile(colorsys.hsv_to_rgb(h, s, v), (25, 25, 1))
 
 
 class TestSegment:
@@ -83,14 +83,8 @@ class TestEstimateColor:
 
     def test_circular_mean_across_wrap(self):
         img = np.zeros((25, 25, 3))
-        half = np.stack(scenegen.hsv_to_rgb(np.asarray([0.95]),
-                                            np.asarray([1.0]),
-                                            np.asarray([1.0])), axis=-1)[0]
-        other = np.stack(scenegen.hsv_to_rgb(np.asarray([0.05]),
-                                             np.asarray([1.0]),
-                                             np.asarray([1.0])), axis=-1)[0]
-        img[:, :12] = half
-        img[:, 12:] = other
+        img[:, :12] = colorsys.hsv_to_rgb(0.95, 1.0, 1.0)
+        img[:, 12:] = colorsys.hsv_to_rgb(0.05, 1.0, 1.0)
         mask = np.zeros((25, 25), dtype=bool)
         mask[:, 11:13] = True  # equal counts of the two hues
         h, _, _ = encoder.estimate_color(img, mask)
@@ -122,6 +116,17 @@ class TestEstimateColor:
             h1, _, _ = encoder.estimate_color(
                 flat_image((base + c) % 1.0, 1.0, 1.0), mask)
             assert cspace.circular_distance(h1, (h0 + c) % 1.0) < 1e-6
+
+
+class TestBoundaryMask:
+    """Foreground pixels with a 4-neighbour outside the foreground or the frame."""
+
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                             max_side=12)))
+    @example(np.ones((5, 6), dtype=bool))  # all boundary is the frame's
+    def test_equals_mask_minus_its_erosion(self, mask):
+        expected = mask & ~ndimage.binary_erosion(mask)
+        assert np.array_equal(encoder.boundary_mask(mask), expected)
 
 
 class TestShapeRatio:
@@ -195,7 +200,7 @@ class TestEncode:
     def test_distortion_floor_regression(self):
         # frozen: mean semantic_loss(prototype, encode(scene)) stays near the
         # measured encoder floor; a drift signals an encoder change
-        concepts = cspace.default_concepts()
+        concepts = cspace.CONCEPTS
         total = 0.0
         count = 0
         rng = np.random.default_rng(999)

@@ -98,6 +98,15 @@ class TestRateSearch:
         with pytest.raises(InvalidParameterError):
             funcomp.semantic_rate_search(0.1, trials=0)
 
+    @pytest.mark.parametrize("max_n_b", [0, 17])
+    def test_rejects_max_n_b_outside_quantizer_range_before_any_trial(
+            self, max_n_b, monkeypatch):
+        calls = []
+        monkeypatch.setattr(funcomp, "run_trial", lambda *a: calls.append(a))
+        with pytest.raises(InvalidParameterError):
+            funcomp.semantic_rate_search(0.1, trials=1, max_n_b=max_n_b)
+        assert calls == []
+
     def test_loose_threshold_feasible_at_one_bit(self):
         result = funcomp.semantic_rate_search(10.0, snr_db=None, trials=20,
                                               max_n_b=3)

@@ -63,6 +63,11 @@ def _sweep_snr_stdout(tmp_dir) -> str:
                         "--nb", "4", "--snr-db", "0,none"])
 
 
+def _rate_search_stdout(tmp_dir) -> str:
+    return _cli_stdout(["funcomp", "rate-search", "--tau", "0.01", "--snr", "10",
+                        "--trials", "10", "--seed", str(SEED)])
+
+
 def _plot_data(tmp_dir) -> str:
     path = os.path.join(tmp_dir, "out.dat")
     _cli_stdout(["sweep-snr", "--trials", "20", "--seed", str(SEED),
@@ -78,6 +83,7 @@ CASES = {
     "rate_search.txt": _rate_search,
     "sweep_snr_stdout.csv": _sweep_snr_stdout,
     "sweep_snr_plot.dat": _plot_data,
+    "rate_search_stdout.txt": _rate_search_stdout,
 }
 
 

@@ -120,13 +120,17 @@ class TestBpsk:
 
     def test_rejects_non_finite_snr(self):
         with pytest.raises(InvalidParameterError):
-            phy.ChannelParams(math.inf)
+            phy.ChannelParams(math.inf, np.random.default_rng(0))
+
+    def test_requires_a_stream(self):
+        with pytest.raises(TypeError):
+            phy.ChannelParams(5.0)
 
     @pytest.mark.parametrize("snr_db", [4000.0, 3090.0, -4000.0, -math.inf, math.nan])
     def test_rejects_snr_without_a_positive_finite_linear_value(self, snr_db):
         # 10^(snr/10) overflows above about 3082 dB and is 0.0 below about -3236 dB
         with pytest.raises(InvalidParameterError):
-            phy.ChannelParams(snr_db)
+            phy.ChannelParams(snr_db, np.random.default_rng(0))
         with pytest.raises(InvalidParameterError):
             phy.analytic_ber(snr_db)
 

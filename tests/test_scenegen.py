@@ -1,5 +1,6 @@
 """Scene generator: color conversion, rasterization, PPM I/O."""
 
+import colorsys
 import math
 import os
 
@@ -28,20 +29,26 @@ class TestHsvRgb:
         ((0.0, 0.0, 0.5), (0.5, 0.5, 0.5)),        # achromatic gray
     ])
     def test_known_colors(self, hsv, rgb):
-        r, g, b = scenegen.hsv_to_rgb(*(np.asarray([v]) for v in hsv))
-        assert (r[0], g[0], b[0]) == pytest.approx(rgb)
+        # render fills the shape with the spec's HSV colour as RGB
+        spec = scenegen.SceneSpec("red-circle", hsv, None, 6.0, 0.0, (12.0, 12.0),
+                                  pixel_noise_sigma=0.0)
+        assert tuple(scenegen.render(spec)[12, 12]) == pytest.approx(rgb)
+        h, s, v = scenegen.rgb_to_hsv(*(np.asarray([c]) for c in rgb))
+        assert (h[0], s[0], v[0]) == pytest.approx(hsv)
 
     def test_gray_has_zero_hue_and_saturation(self):
         h, s, v = scenegen.rgb_to_hsv(np.asarray([0.5]), np.asarray([0.5]),
                                       np.asarray([0.5]))
         assert h[0] == 0.0 and s[0] == 0.0 and v[0] == pytest.approx(0.5)
+        assert (h[0], s[0], v[0]) == colorsys.rgb_to_hsv(0.5, 0.5, 0.5)
 
     @given(unit, st.floats(min_value=0.05, max_value=1.0),
            st.floats(min_value=0.05, max_value=1.0))
     def test_roundtrip(self, h, s, v):
-        r, g, b = scenegen.hsv_to_rgb(np.asarray([h]), np.asarray([s]),
-                                      np.asarray([v]))
-        h2, s2, v2 = scenegen.rgb_to_hsv(r, g, b)
+        r, g, b = colorsys.hsv_to_rgb(h % 1.0, s, v)
+        h2, s2, v2 = scenegen.rgb_to_hsv(*(np.asarray([c]) for c in (r, g, b)))
+        assert (h2[0], s2[0], v2[0]) == pytest.approx(colorsys.rgb_to_hsv(r, g, b),
+                                                      abs=1e-12)
         # hue is circular; 1.0 wraps to 0.0
         dh = min(abs(h2[0] - (h % 1.0)), 1.0 - abs(h2[0] - (h % 1.0)))
         assert dh < 1e-9
@@ -87,9 +94,8 @@ class TestRender:
         for y in (0, 6, 12, 18, 24):
             for x in (0, 6, 12, 18, 24):
                 inside = (x - cx) ** 2 + (y - cy) ** 2 <= spec.circumradius ** 2 + 1e-9
-                expected = (0.5, 0.5, 0.5) if not inside else tuple(
-                    np.stack(scenegen.hsv_to_rgb(
-                        *(np.asarray([v]) for v in spec.fill_hsv)), axis=-1)[0])
+                expected = ((0.5, 0.5, 0.5) if not inside
+                            else colorsys.hsv_to_rgb(*spec.fill_hsv))
                 assert img[y, x] == pytest.approx(expected)
 
     def test_square_has_correct_area(self):
