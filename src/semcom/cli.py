@@ -48,7 +48,10 @@ def _emit(rows, args, header) -> None:
 
 
 def cmd_simulate(args) -> int:
-    snr = args.snr_db[0] if args.snr_db else None
+    if len(args.snr_db) > 1:
+        raise InvalidParameterError(
+            f"simulate runs one SNR, got {len(args.snr_db)}; use sweep-snr for more")
+    snr = args.snr_db[0]
     agg = harness.run_trials(args.system, args.nb, snr, args.trials,
                              args.seed, args.workers)
     print(f"system={args.system} nb={args.nb} snr_db={snr} trials={agg.trials}")
@@ -69,9 +72,7 @@ def cmd_sweep_snr(args) -> int:
 
 
 def cmd_sweep_rate(args) -> int:
-    cfg = harness.ExperimentConfig(trials=args.trials, base_seed=args.seed,
-                                   workers=args.workers)
-    rows = harness.sweep_rate(cfg)
+    rows = harness.sweep_rate(args.trials, args.seed, args.workers)
     _emit(rows, args, harness.RATE_SWEEP_HEADER)
     print(f"rate reduction: {100.0 * baseline.rate_reduction():.2f}%")
     return 0
@@ -158,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="one configuration, aggregate stats")
     _add_batch(p)
     _add_link(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, snr_db=(0,))
 
     p = sub.add_parser("sweep-snr", help="error/distortion curves vs SNR")
     _add_batch(p)

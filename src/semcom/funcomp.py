@@ -107,10 +107,11 @@ def semantic_rate_search(tau: float, snr_db: float | None = None,
     estimated mean end-to-end distortion is <= tau, with all sweep points
     retained. Infeasible thresholds (below the encoder floor) yield
     minimal_n_b = None. A point whose trials are all degenerate has nan
-    mean and stderr and is infeasible. A max_n_b outside 1..16 or fewer
-    than one trial raises InvalidParameterError before any trial runs.
+    mean and stderr and is infeasible. A tau that is not > 0 (nan
+    included), a max_n_b outside 1..16 or fewer than one trial raises
+    InvalidParameterError before any trial runs.
     """
-    if tau <= 0:
+    if not tau > 0:  # refuses nan as well
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
     _check_batch("semantic", max_n_b, trials, 1)
     n_b_values = range(1, max_n_b + 1)

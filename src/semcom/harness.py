@@ -240,15 +240,15 @@ def sweep_snr(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def sweep_rate(cfg: ExperimentConfig) -> list[dict]:
+def sweep_rate(trials: int, base_seed: int, workers: int = 1) -> list[dict]:
     """Rate-vs-semantic-error table rows for both systems at RATE_SWEEP_SNR_DB."""
     rows = []
     for system in ("semantic", "traditional"):
         rate_fn = (baseline.semantic_rate_bits if system == "semantic"
                    else baseline.traditional_rate_bits)
         for n_b in RATE_SWEEP_NB:
-            agg = run_trials(system, n_b, RATE_SWEEP_SNR_DB, cfg.trials,
-                             cfg.base_seed, cfg.workers)
+            agg = run_trials(system, n_b, RATE_SWEEP_SNR_DB, trials,
+                             base_seed, workers)
             rows.append({
                 "system": system,
                 "nb": n_b,

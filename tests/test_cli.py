@@ -3,12 +3,29 @@
 import csv
 import json
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
 from semcom import harness, scenegen
-from semcom.cli import main
+from semcom.cli import build_parser, main
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+
+
+def readme_commands() -> list[str]:
+    """Every ``semcom ...`` line inside README's fenced code blocks."""
+    with open(README) as f:
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", f.read(), re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("semcom ")]
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_parses(line):
+    build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 class TestPrototypes:
@@ -52,6 +69,13 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--trials", "2", *option])
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_rejects_more_than_one_snr(self, capsys):
+        code = main(["simulate", "--trials", "2", "--snr-db", "0,30"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_noiseless_channel(self, capsys):
         code = main(["simulate", "--trials", "5", "--seed", "3",
@@ -222,3 +246,11 @@ class TestFuncomp:
         code = main(["funcomp", "rate-search", "--tau", "-1", "--noiseless",
                      "--trials", "5"])
         assert code == 1
+
+    def test_rate_search_rejects_nan_tau(self, capsys):
+        code = main(["funcomp", "rate-search", "--tau", "nan", "--noiseless",
+                     "--trials", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""

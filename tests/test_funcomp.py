@@ -94,6 +94,10 @@ class TestRateSearch:
         with pytest.raises(InvalidParameterError):
             funcomp.semantic_rate_search(0.0)
 
+    def test_rejects_nan_tau(self):
+        with pytest.raises(InvalidParameterError):
+            funcomp.semantic_rate_search(math.nan)
+
     def test_rejects_no_trials(self):
         with pytest.raises(InvalidParameterError):
             funcomp.semantic_rate_search(0.1, trials=0)

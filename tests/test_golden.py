@@ -38,8 +38,7 @@ def _sweep_snr(system, tmp_dir) -> str:
 
 
 def _sweep_rate(tmp_dir) -> str:
-    cfg = harness.ExperimentConfig(trials=10, base_seed=SEED)
-    return _csv_text(harness.sweep_rate(cfg), harness.RATE_SWEEP_HEADER, tmp_dir)
+    return _csv_text(harness.sweep_rate(10, SEED), harness.RATE_SWEEP_HEADER, tmp_dir)
 
 
 def _rate_search(tmp_dir) -> str:

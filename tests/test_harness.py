@@ -171,8 +171,7 @@ class TestSweeps:
         assert rows[0]["p_syntactic"] >= rows[1]["p_syntactic"]
 
     def test_rate_sweep_rows(self):
-        cfg = harness.ExperimentConfig(trials=2, base_seed=1)
-        rows = harness.sweep_rate(cfg)
+        rows = harness.sweep_rate(2, 1)
         rates = {(r["system"], r["nb"]): r["rate_bits"] for r in rows}
         assert list(rates) == [("semantic", 2), ("semantic", 5), ("semantic", 8),
                                ("traditional", 2), ("traditional", 5),
