@@ -12,10 +12,14 @@ from . import baseline, cspace, encoder, funcomp, harness, scenegen
 from .errors import InvalidParameterError, SemcomError
 
 
+def _snr(text: str) -> float | None:
+    """One SNR in dB; ``none`` is the noiseless channel."""
+    return None if text.strip().lower() == "none" else float(text)
+
+
 def _snr_list(text: str) -> tuple[float | None, ...]:
-    """Comma-separated SNRs in dB; ``none`` is the noiseless channel."""
-    return tuple(None if v.strip().lower() == "none" else float(v)
-                 for v in text.split(","))
+    """Comma-separated SNRs, each as _snr reads it."""
+    return tuple(_snr(v) for v in text.split(","))
 
 
 def _add_batch(parser: argparse.ArgumentParser) -> None:
@@ -39,7 +43,6 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 def _emit(rows, args, header) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
-    config = {k: list(v) if isinstance(v, tuple) else v for k, v in config.items()}
     if args.out:
         harness.emit_csv(rows, args.out, header, config, args.plot_data)
         print(f"wrote {args.out}")
@@ -100,7 +103,7 @@ def cmd_inspect(args) -> int:
     img = scenegen.read_ppm(args.image)
     point = encoder.encode(img)
     print(f"r={point.r:.6f} h={point.h:.6f} s={point.s:.6f} b={point.b:.6f}")
-    decoded = cspace.decode_concept(point, cspace.CONCEPTS)
+    decoded = cspace.decode_concept(point)
     print(f"decoded concept: {decoded.label}")
     return 0
 
@@ -136,8 +139,7 @@ def cmd_funcomp_classes(args) -> int:
 
 
 def cmd_funcomp_rate_search(args) -> int:
-    snr = None if args.noiseless else args.snr
-    result = funcomp.semantic_rate_search(args.tau, snr_db=snr,
+    result = funcomp.semantic_rate_search(args.tau, snr_db=args.snr,
                                           trials=args.trials, base_seed=args.seed)
     rows = [{"nb": p.n_b, "mean_distortion": p.mean_distortion,
              "stderr": p.stderr, "feasible": int(p.feasible)} for p in result.points]
@@ -194,9 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_funcomp_classes)
     pr = fsub.add_parser("rate-search", help="minimal n_b meeting a threshold")
     pr.add_argument("--tau", type=float, required=True)
-    group = pr.add_mutually_exclusive_group()
-    group.add_argument("--snr", type=float, default=None)
-    group.add_argument("--noiseless", action="store_true")
+    pr.add_argument("--snr", type=_snr, default=None)
     pr.add_argument("--trials", type=int, default=1000)
     pr.add_argument("--seed", type=int, default=0)
     pr.set_defaults(func=cmd_funcomp_rate_search)

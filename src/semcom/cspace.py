@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import InvalidParameterError
 
@@ -95,12 +94,9 @@ def semantic_metric(p: SemanticPoint, q: SemanticPoint) -> float:
     return math.sqrt(semantic_loss(p, q))
 
 
-def decode_concept(p_hat: SemanticPoint, concepts: Iterable[Concept]) -> Concept:
-    """Minimum-distance decoding; ties broken by ascending label."""
-    concepts = list(concepts)
-    if not concepts:
-        raise InvalidParameterError("concept set must be non-empty")
-    return min(concepts, key=lambda c: (semantic_metric(c.prototype, p_hat), c.label))
+def decode_concept(p_hat: SemanticPoint) -> Concept:
+    """Minimum-distance decoding over CONCEPTS; ties go to the first, lowest label."""
+    return min(CONCEPTS, key=lambda c: semantic_metric(c.prototype, p_hat))
 
 
 def polygon_ratio(n_sides: int | None) -> float:

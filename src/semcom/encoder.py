@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .cspace import SemanticPoint, polygon_ratio
+from .cspace import PROTOTYPE_SPECS, SemanticPoint, polygon_ratio
 from .errors import DegenerateHueError, DegenerateSceneError, DegenerateShapeError
 from .scenegen import image_hsv
 
@@ -65,8 +65,9 @@ def boundary_mask(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-#: Candidate shapes the radial model is fitted against (None = circle).
-CANDIDATE_SHAPES = (3, 4, 8, None)
+#: Candidate shapes the radial model is fitted against: the concept table's
+#: polygons by side count, then the circle (None); the order settles ties.
+CANDIDATE_SHAPES = (*sorted({n for _, n, _ in PROTOTYPE_SPECS if n is not None}), None)
 
 #: Tie-break factor when both circle and octagon can reproduce a mask
 #: exactly; calibrated on noiseless renders of both shapes.
@@ -335,12 +336,13 @@ def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     for n in CANDIDATE_SHAPES:
         if n is None:
             r0 = math.sqrt(area / math.pi)
-            rot_step = 0.0
             rots = np.array([0.0])
+            refine = ()
         else:
             r0 = math.sqrt(2.0 * area / (n * math.sin(2.0 * math.pi / n)))
             rot_step = 2.0 * math.pi / n / 16
             rots = np.arange(16) * rot_step
+            refine = (rot_step / 2, rot_step / 4)
         # pixels that every candidate of this family agrees on contribute a
         # constant; score only the annulus the radius/rotation grid can touch
         apothem_frac = 1.0 if n is None else math.cos(math.pi / n)
@@ -358,9 +360,7 @@ def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
             k = int(scores.argmin())
             score, rot = float(scores[k]) + base, float(rots[k])
             # local rotation refinement
-            for step in (rot_step / 2, rot_step / 4):
-                if n is None:
-                    break
+            for step in refine:
                 for cand in (rot - step, rot + step):
                     m = _model_radius(bang, n, radius, cand)
                     sc = float((bflat != (bdist <= m)).sum()) + base
@@ -373,13 +373,9 @@ def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     if best[0] in (None, 8):
         circle_slack = _consistency_slack(mask, None)
         octagon_slack = _consistency_slack(mask, 8)
-        if circle_slack > 0 and octagon_slack <= 0:
-            best = (None, best[1], 0.0)
-        elif octagon_slack > 0 and circle_slack <= 0:
-            best = (8, best[1], best[2])
-        elif circle_slack > 0 and octagon_slack > 0:
-            # both families reproduce this raster exactly; the octagon family
-            # matches spuriously more often, so it must win by a clear margin
+        # the octagon family matches spuriously more often, so it must win by a
+        # clear margin (any positive slack wins where the circle's is <= 0)
+        if circle_slack > 0 or octagon_slack > 0:
             if octagon_slack > _OCTAGON_SLACK_FACTOR * circle_slack:
                 best = (8, best[1], best[2])
             else:

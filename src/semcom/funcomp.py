@@ -10,7 +10,7 @@ sweep over the 16-point design space.
 from __future__ import annotations
 
 import heapq
-import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError
@@ -26,6 +26,9 @@ class FiniteFunction:
     probabilities: dict | None = None
 
     def __post_init__(self):
+        repeated = [x for x, k in Counter(self.domain).items() if k > 1]
+        if repeated:
+            raise InvalidParameterError(f"domain elements repeated: {repeated}")
         missing = [x for x in self.domain if x not in self.mapping]
         if missing:
             raise InvalidParameterError(f"mapping not total; missing {missing}")
@@ -65,15 +68,13 @@ def expected_code_length(f: FiniteFunction) -> float:
     probs: dict = {}
     for x in f.domain:
         probs[f.mapping[x]] = probs.get(f.mapping[x], 0.0) + f.probabilities[x]
-    heap = [(p, i) for i, p in zip(itertools.count(), probs.values())]
+    heap = list(probs.values())
     heapq.heapify(heap)
     total = 0.0
-    counter = itertools.count(len(heap))
     while len(heap) > 1:
-        p1, _ = heapq.heappop(heap)
-        p2, _ = heapq.heappop(heap)
-        total += p1 + p2
-        heapq.heappush(heap, (p1 + p2, next(counter)))
+        p = heapq.heappop(heap) + heapq.heappop(heap)
+        total += p
+        heapq.heappush(heap, p)
     return total
 
 

@@ -97,7 +97,7 @@ def _decode(concept: str, point, bits, received, received_point) -> TrialRecord:
     if received_point is None:
         decoded, distortion = CONCEPT_LABELS[0], math.nan
     else:
-        decoded = cspace.decode_concept(received_point, cspace.CONCEPTS).label
+        decoded = cspace.decode_concept(received_point).label
         distortion = cspace.semantic_loss(
             cspace.concept_by_label(concept).prototype, received_point)
     return TrialRecord(

@@ -99,11 +99,10 @@ def render(spec: SceneSpec, rng: np.random.Generator | None = None) -> np.ndarra
     return np.clip(img, 0.0, 1.0)
 
 
-def rgb_to_hsv(r: np.ndarray, g: np.ndarray, b: np.ndarray):
-    """Standard hexcone RGB -> HSV; hue is 0 for achromatic pixels."""
-    r = np.asarray(r, float)
-    g = np.asarray(g, float)
-    b = np.asarray(b, float)
+def image_hsv(img: np.ndarray):
+    """Hexcone HSV planes of a (..., 3) RGB image; hue is 0 for achromatic pixels."""
+    img = np.asarray(img, float)
+    r, g, b = img[..., 0], img[..., 1], img[..., 2]
     maxc = np.maximum(np.maximum(r, g), b)
     minc = np.minimum(np.minimum(r, g), b)
     v = maxc
@@ -116,11 +115,6 @@ def rgb_to_hsv(r: np.ndarray, g: np.ndarray, b: np.ndarray):
     h = np.where(maxc == r, bc - gc, np.where(maxc == g, 2.0 + rc - bc, 4.0 + gc - rc))
     h = np.where(span > 0, (h / 6.0) % 1.0, 0.0)
     return h, s, v
-
-
-def image_hsv(img: np.ndarray):
-    """Per-pixel HSV planes of a (H, W, 3) RGB image."""
-    return rgb_to_hsv(img[..., 0], img[..., 1], img[..., 2])
 
 
 def write_ppm(img: np.ndarray, path: str) -> None:
@@ -136,7 +130,8 @@ def read_ppm(path: str) -> np.ndarray:
     """Read a binary PPM back into a float image with channels in [0, 1].
 
     Anything but a P6 file with a complete header, 8-bit samples (maxval
-    1..255) and the full payload raises InvalidParameterError.
+    1..255), the full payload and no sample above maxval raises
+    InvalidParameterError.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -168,6 +163,8 @@ def read_ppm(path: str) -> np.ndarray:
         raise InvalidParameterError(
             f"{path}: payload has {max(len(raw) - pos, 0)} of {size} bytes")
     data = np.frombuffer(raw, dtype=np.uint8, count=size, offset=pos)
+    if data.max() > maxval:
+        raise InvalidParameterError(f"{path}: sample {data.max()} above maxval {maxval}")
     return data.reshape(h, w, 3).astype(float) / float(maxval)
 
 

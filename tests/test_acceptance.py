@@ -221,7 +221,7 @@ def test_criterion_9_encoder_floor(criterion_report):
             except Exception:
                 wrong += 1
                 continue
-            if cspace.decode_concept(point, concepts).label != c.label:
+            if cspace.decode_concept(point).label != c.label:
                 wrong += 1
         per_concept.append(f"{c.label} {wrong / 1_000:.1%}")
         errors += wrong

@@ -214,6 +214,7 @@ class TestFuncomp:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert captured.out == ""
+        return captured.err
 
     def test_classes_spec_without_output_column(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, ["element,probability", "a,0.5", "b,0.5"])
@@ -236,21 +237,44 @@ class TestFuncomp:
             f.write(b"\xff\xfe\x00element,output\n")
         self.assert_one_error_line(spec, capsys)
 
+    def test_classes_repeated_element(self, tmp_path, capsys):
+        for rows in (["element,output", "a,0", "b,1", "a,1"],
+                     ["element,output,probability", "a,0,0.5", "b,1,0.25", "a,1,0.25"]):
+            err = self.assert_one_error_line(self.write_spec(tmp_path, rows), capsys)
+            assert "repeated" in err and "'a'" in err
+
     def test_rate_search_noiseless(self, capsys):
-        code = main(["funcomp", "rate-search", "--tau", "10.0", "--noiseless",
+        code = main(["funcomp", "rate-search", "--tau", "10.0", "--snr", "none",
                      "--trials", "10"])
         assert code == 0
         assert "minimal_nb=1" in capsys.readouterr().out
 
     def test_rate_search_rejects_bad_tau(self, capsys):
-        code = main(["funcomp", "rate-search", "--tau", "-1", "--noiseless",
+        code = main(["funcomp", "rate-search", "--tau", "-1", "--snr", "none",
                      "--trials", "5"])
         assert code == 1
 
     def test_rate_search_rejects_nan_tau(self, capsys):
-        code = main(["funcomp", "rate-search", "--tau", "nan", "--noiseless",
+        code = main(["funcomp", "rate-search", "--tau", "nan", "--snr", "none",
                      "--trials", "1"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_rate_search_snr_none_is_the_default(self, capsys):
+        args = ["funcomp", "rate-search", "--tau", "0.002", "--trials", "2", "--seed", "5"]
+        outs = []
+        for extra in ([], ["--snr", "none"], ["--snr", "None"]):
+            assert main(args + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0].startswith("nb,mean_distortion,stderr,feasible\n")
+
+    @pytest.mark.parametrize("extra", [["--snr", "0,30"], ["--noiseless"]])
+    def test_rate_search_refuses_snr_list_and_noiseless_flag(self, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["funcomp", "rate-search", "--tau", "0.002", "--trials", "1"] + extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and extra[0] in captured.err

@@ -122,26 +122,26 @@ class TestDecodeConcept:
     def test_prototype_decodes_to_itself(self):
         concepts = cspace.CONCEPTS
         for c in concepts:
-            assert cspace.decode_concept(c.prototype, concepts).label == c.label
+            assert cspace.decode_concept(c.prototype).label == c.label
 
     def test_reference_prototype_is_yellow_square(self):
         p = point(1.4142, 0.1667, 1.0, 0.9714)
-        decoded = cspace.decode_concept(p, cspace.CONCEPTS)
+        decoded = cspace.decode_concept(p)
         assert decoded.label == "yellow-square"
 
-    def test_tie_broken_by_label(self):
-        a = cspace.Concept("zeta", point(1.0, 0.0, 0.0, 0.0))
-        b = cspace.Concept("alpha", point(1.0, 0.0, 0.0, 0.0))
-        assert cspace.decode_concept(point(1.2, 0.0, 0.0, 0.0), [a, b]).label == "alpha"
-
-    def test_empty_concept_set_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            cspace.decode_concept(point(1.0, 0.0, 0.0, 0.0), [])
+    def test_tie_broken_by_label(self, monkeypatch):
+        # CONCEPTS is in label order and min keeps the first minimum
+        labels = [c.label for c in cspace.CONCEPTS]
+        assert labels == sorted(labels)
+        a = cspace.Concept("alpha", point(1.0, 0.0, 0.0, 0.0))
+        z = cspace.Concept("zeta", point(1.0, 0.0, 0.0, 0.0))
+        monkeypatch.setattr(cspace, "CONCEPTS", (a, z))
+        assert cspace.decode_concept(point(1.2, 0.0, 0.0, 0.0)).label == "alpha"
 
     @given(points)
     def test_decodes_to_nearest(self, p):
         concepts = cspace.CONCEPTS
-        decoded = cspace.decode_concept(p, concepts)
+        decoded = cspace.decode_concept(p)
         best = min(cspace.semantic_metric(c.prototype, p) for c in concepts)
         assert cspace.semantic_metric(decoded.prototype, p) == pytest.approx(best)
 

@@ -322,6 +322,50 @@ class TestConsistencySlack:
         assert fitted == [encoder._fit_shape(mask) for mask in masks]
 
 
+def reference_round_pick(template, circle_slack, octagon_slack):
+    """The certificate decision as four branches, before it became one rule."""
+    _, radius, rot = template
+    if circle_slack > 0 and octagon_slack <= 0:
+        return (None, radius, 0.0)
+    if octagon_slack > 0 and circle_slack <= 0:
+        return (8, radius, rot)
+    if circle_slack > 0 and octagon_slack > 0:
+        if octagon_slack > encoder._OCTAGON_SLACK_FACTOR * circle_slack:
+            return (8, radius, rot)
+        return (None, radius, 0.0)
+    return template
+
+
+SLACKS = (-math.inf, -0.3, -0.0, 0.0, 0.1, 0.25, 0.2500001, 1.0)
+
+
+class TestRoundCertificateRule:
+    """fit_shape's circle-vs-octagon rule agrees with the four-branch rule."""
+
+    def test_every_slack_pair(self, masks, monkeypatch):
+        # with no certificate the template's pick stands
+        monkeypatch.setattr(encoder, "_consistency_slack", lambda mask, n: -math.inf)
+        templates = {}
+        for mask in masks:
+            fit = encoder._fit_shape(mask)
+            templates.setdefault(fit[0], (mask, fit))
+        assert None in templates and 8 in templates
+        assert templates[8][1][2] != 0.0  # a rotation the circle pick must drop
+        # the margin's exact boundary: 2.5 * 0.1 is the float 0.25
+        assert encoder._OCTAGON_SLACK_FACTOR * 0.1 == 0.25
+        for n in (None, 8):
+            mask, template = templates[n]
+            for c in SLACKS:
+                for o in SLACKS:
+                    monkeypatch.setattr(encoder, "_consistency_slack",
+                                        lambda mask, k, c=c, o=o: c if k is None else o)
+                    assert (encoder._fit_shape(mask)
+                            == reference_round_pick(template, c, o)), (n, c, o)
+            monkeypatch.setattr(encoder, "_consistency_slack",
+                                lambda mask, k: 0.1 if k is None else 0.25)
+            assert encoder._fit_shape(mask)[0] is None
+
+
 class TestFitShapeMemo:
     """fit_shape's memo returns exactly what the fit itself returns."""
 

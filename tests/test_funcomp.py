@@ -1,8 +1,11 @@
 """Functional compression: equivalence classes, code lengths, rate search."""
 
+import heapq
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semcom import encoder, funcomp, harness
 from semcom.errors import DegenerateSceneError, InvalidParameterError
@@ -59,6 +62,10 @@ class TestFiniteFunction:
         with pytest.raises(InvalidParameterError):
             funcomp.FiniteFunction([0, 1], {0: "a", 1: "b"}, {0: p0, 1: p1})
 
+    def test_rejects_repeated_domain_element(self):
+        with pytest.raises(InvalidParameterError, match="'a'"):
+            funcomp.FiniteFunction(["a", "b", "a"], {"a": 0, "b": 1})
+
     def test_uniform_default(self):
         f = mod2_function()
         assert f.probabilities[0] == pytest.approx(0.25)
@@ -81,6 +88,24 @@ class TestExpectedCodeLength:
 
     def test_mod2_uniform_is_one_bit(self):
         assert funcomp.expected_code_length(mod2_function()) == pytest.approx(1.0)
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    def test_equals_merge_with_id_tie_break(self, weights):
+        # equal probabilities may pop in either order: the sum is the same float
+        probs = [w / sum(weights) for w in weights]
+        f = funcomp.FiniteFunction(list(range(len(probs))),
+                                   {x: x for x in range(len(probs))},
+                                   dict(enumerate(probs)))
+        heap = [(p, i) for i, p in enumerate(probs)]
+        heapq.heapify(heap)
+        total, next_id = 0.0, len(heap)
+        while len(heap) > 1:
+            p1, _ = heapq.heappop(heap)
+            p2, _ = heapq.heappop(heap)
+            total += p1 + p2
+            heapq.heappush(heap, (p1 + p2, next_id))
+            next_id += 1
+        assert funcomp.expected_code_length(f) == total
 
     def test_at_most_fixed_length(self):
         f = funcomp.FiniteFunction(list(range(5)), {x: x for x in range(5)},

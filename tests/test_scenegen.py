@@ -33,12 +33,11 @@ class TestHsvRgb:
         spec = scenegen.SceneSpec("red-circle", hsv, None, 6.0, 0.0, (12.0, 12.0),
                                   pixel_noise_sigma=0.0)
         assert tuple(scenegen.render(spec)[12, 12]) == pytest.approx(rgb)
-        h, s, v = scenegen.rgb_to_hsv(*(np.asarray([c]) for c in rgb))
+        h, s, v = scenegen.image_hsv(np.asarray([rgb]))
         assert (h[0], s[0], v[0]) == pytest.approx(hsv)
 
     def test_gray_has_zero_hue_and_saturation(self):
-        h, s, v = scenegen.rgb_to_hsv(np.asarray([0.5]), np.asarray([0.5]),
-                                      np.asarray([0.5]))
+        h, s, v = scenegen.image_hsv(np.full((1, 3), 0.5))
         assert h[0] == 0.0 and s[0] == 0.0 and v[0] == pytest.approx(0.5)
         assert (h[0], s[0], v[0]) == colorsys.rgb_to_hsv(0.5, 0.5, 0.5)
 
@@ -46,7 +45,7 @@ class TestHsvRgb:
            st.floats(min_value=0.05, max_value=1.0))
     def test_roundtrip(self, h, s, v):
         r, g, b = colorsys.hsv_to_rgb(h % 1.0, s, v)
-        h2, s2, v2 = scenegen.rgb_to_hsv(*(np.asarray([c]) for c in (r, g, b)))
+        h2, s2, v2 = scenegen.image_hsv(np.asarray([(r, g, b)]))
         assert (h2[0], s2[0], v2[0]) == pytest.approx(colorsys.rgb_to_hsv(r, g, b),
                                                       abs=1e-12)
         # hue is circular; 1.0 wraps to 0.0
@@ -186,6 +185,7 @@ class TestPpm:
         b"P6\n2 1\n256\n" + bytes(12),  # 16-bit samples
         b"P6\n2 1\n255\n" + bytes(5),  # truncated payload
         b"P6\n2 1\n255",  # no payload at all
+        b"P6\n2 1\n100\n" + bytes([0, 0, 0, 0, 101, 255]),  # samples above maxval
     ])
     def test_rejects_malformed(self, tmp_path, raw):
         path = str(tmp_path / "bad.ppm")
