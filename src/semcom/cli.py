@@ -22,9 +22,16 @@ def _snr_list(text: str) -> tuple[float | None, ...]:
     return tuple(_snr(v) for v in text.split(","))
 
 
+def _seed(text: str) -> int:
+    """A base seed: numpy's generators take no negative seed."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be at least 0, got {text}")
+    return int(text)
+
+
 def _add_batch(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--workers", type=int, default=1)
 
 
@@ -47,7 +54,7 @@ def _emit(rows, args, header) -> None:
         harness.emit_csv(rows, args.out, header, config, args.plot_data)
         print(f"wrote {args.out}")
     else:
-        print(harness.format_rows(rows, header), end="")
+        print(harness.format_rows(rows, header, args.plot_data), end="")
 
 
 def cmd_simulate(args) -> int:
@@ -176,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render-dataset", help="dump labeled PPM scenes")
     p.add_argument("--per-concept", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="dataset")
     p.set_defaults(func=cmd_render_dataset)
 
@@ -198,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--tau", type=float, required=True)
     pr.add_argument("--snr", type=_snr, default=None)
     pr.add_argument("--trials", type=int, default=1000)
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--seed", type=_seed, default=0)
     pr.set_defaults(func=cmd_funcomp_rate_search)
 
     return parser

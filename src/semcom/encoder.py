@@ -94,15 +94,6 @@ def _sector_occupancy(mask: np.ndarray) -> int:
     return int(np.unique(sectors).size)
 
 
-def _model_radius(angles: np.ndarray, n: int | None, radius: float,
-                  rotation: np.ndarray | float) -> np.ndarray:
-    """Center-to-boundary distance of a regular shape along given angles."""
-    if n is None:
-        return np.full_like(angles, radius)
-    folded = (angles - rotation) % (2.0 * math.pi / n) - math.pi / n
-    return radius * math.cos(math.pi / n) / np.cos(folded)
-
-
 #: Margin added to every pruning bound; the float error of a gauge is about 1e-14.
 _PRUNE_EPS = 1e-9
 
@@ -201,8 +192,8 @@ def _consistency_slack(mask: np.ndarray, n: int | None) -> float:
     raster. Searched over a center grid around the centroid plus a
     rotation grid for polygons, then hill-climbed from the best grid point.
 
-    Each row of the grid, and the hill-climb's remaining neighbours, are
-    evaluated together. For the circle u = |p - c| is cheap and computed
+    The grid is evaluated in one call, and so are the hill-climb's
+    remaining neighbours. For the circle u = |p - c| is cheap and computed
     for every band pixel. For polygons u is computed only where it can
     decide a comparison of the search, and the result is the same float as
     computing it for every band pixel and rotation. There u equals the
@@ -217,8 +208,8 @@ def _consistency_slack(mask: np.ndarray, n: int | None) -> float:
       reaches the upper bound can hold the minimum;
     - a rotation whose bounds cannot reach the slack to beat is not
       computed at all. In the hill-climb that is the current best; on the
-      grid, the best slack found so far, starting from the middle point's,
-      which the grid's maximum reaches, so its first maximum is still found.
+      grid, the middle point's slack, which the grid's maximum reaches, so
+      its first maximum is still found.
 
     Each bound carries a 1e-9 margin, far above the float error of either
     form of u, so no skipped pair can tie a computed extreme: every slack
@@ -253,16 +244,11 @@ def _consistency_slack(mask: np.ndarray, n: int | None) -> float:
     offsets = np.arange(-0.6, 0.61, 0.3)
     grid_x = cx0 + np.repeat(offsets, offsets.size)
     grid_y = cy0 + np.tile(offsets, offsets.size)
-    # no slack found exceeds the grid's maximum, so each row may skip what
-    # cannot reach the best found before it, starting from the middle point's
+    # the grid's maximum is at least the middle point's slack, so the whole
+    # grid may skip what cannot reach it and still find the same first maximum
     middle = grid_x.size // 2
     floor = slacks(grid_x[middle:middle + 1], grid_y[middle:middle + 1], -np.inf)[0]
-    grid = []
-    for row in range(0, grid_x.size, offsets.size):
-        found = slacks(grid_x[row:row + offsets.size], grid_y[row:row + offsets.size],
-                       floor)
-        grid.extend(found.tolist())
-        floor = max(floor, found.max())
+    grid = slacks(grid_x, grid_y, floor).tolist()
     best = -np.inf
     best_c = (cx0, cy0)
     for s, x, y in zip(grid, grid_x, grid_y):
@@ -343,32 +329,36 @@ def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
             rot_step = 2.0 * math.pi / n / 16
             rots = np.arange(16) * rot_step
             refine = (rot_step / 2, rot_step / 4)
-        # pixels that every candidate of this family agrees on contribute a
-        # constant; score only the annulus the radius/rotation grid can touch
-        apothem_frac = 1.0 if n is None else math.cos(math.pi / n)
-        lo = 0.92 * r0 * apothem_frac - 1e-9
-        hi = 1.08 * r0 + 1e-9
+        radii = np.array([0.96 * r0, r0, 1.04 * r0])
+        apothems = radii * (1.0 if n is None else math.cos(math.pi / n))
+        # a template's boundary lies between its apothem and its radius, so a
+        # pixel inside the smallest apothem or past the largest radius adds the
+        # same to every score; only the annulus between them is scored
+        lo = apothems[0] - 1e-9
+        hi = radii[-1] + 1e-9
         band = (dist >= lo) & (dist <= hi)
         base = int((~flat & (dist < lo)).sum() + (flat & (dist > hi)).sum())
-        bdist = dist[band]
-        bang = angles[band]
-        bflat = flat[band]
-        for radius in (0.96 * r0, r0, 1.04 * r0):
-            # vectorize over rotation candidates
-            model = _model_radius(bang[:, None], n, radius, rots[None, :])
-            scores = (bflat[:, None] != (bdist[:, None] <= model)).sum(axis=0)
-            k = int(scores.argmin())
-            score, rot = float(scores[k]) + base, float(rots[k])
-            # local rotation refinement
-            for step in refine:
-                for cand in (rot - step, rot + step):
-                    m = _model_radius(bang, n, radius, cand)
-                    sc = float((bflat != (bdist <= m)).sum()) + base
-                    if sc < score:
-                        score, rot = sc, cand
-            if score < best_score:
-                best_score = score
-                best = (n, radius, rot)
+        bdist, bang, bflat = (a[band][:, None, None] for a in (dist, angles, flat))
+
+        def scores(rot):
+            """Disagreements of each (radius, rotation) template with the mask."""
+            fold = 1.0 if n is None else np.cos(
+                (bang - rot) % (2.0 * math.pi / n) - math.pi / n)
+            return (bflat != (bdist <= apothems[:, None] / fold)).sum(axis=0) + base
+
+        grid = scores(rots)
+        score, rot = grid.min(axis=1), rots[grid.argmin(axis=1)]
+        # local rotation refinement: per radius, the first better neighbour
+        for step in refine:
+            cand = rot[:, None] + np.array([-step, step])
+            found = scores(cand)
+            low = found.min(axis=1)
+            rot = np.where(low < score, cand[np.arange(3), found.argmin(axis=1)], rot)
+            score = np.minimum(low, score)
+        i = int(score.argmin())
+        if score[i] < best_score:
+            best_score = score[i]
+            best = (n, float(radii[i]), float(rot[i]))
 
     if best[0] in (None, 8):
         circle_slack = _consistency_slack(mask, None)

@@ -28,6 +28,24 @@ def test_readme_command_parses(line):
     build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--trials", "1"],
+    ["sweep-snr", "--trials", "1"],
+    ["sweep-rate", "--trials", "1"],
+    ["render-dataset", "--per-concept", "1"],
+    ["funcomp", "rate-search", "--tau", "0.002", "--trials", "1"],
+], ids=["simulate", "sweep-snr", "sweep-rate", "render-dataset", "rate-search"])
+def test_negative_seed_refused(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where render-dataset would write
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "error: argument --seed: seed must be at least 0" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 class TestPrototypes:
     def test_prints_table(self, capsys):
         assert main(["prototypes"]) == 0
@@ -103,6 +121,17 @@ class TestSweeps:
         assert code == 0
         assert capsys.readouterr().out.startswith(harness.SNR_SWEEP_HEADER)
 
+    def test_sweep_snr_plot_data_to_stdout(self, tmp_path, capsys):
+        args = ["sweep-snr", "--trials", "3", "--seed", "1", "--snr-db", "10,none",
+                "--plot-data"]
+        path = tmp_path / "sweep.dat"
+        assert main(args + ["--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# snr_db p_syntactic ")
+        assert out == path.read_text()
+
     def test_sweep_snr_noiseless_point(self, capsys):
         code = main(["sweep-snr", "--trials", "5", "--seed", "1",
                      "--snr-db", "15,none"])
@@ -125,6 +154,13 @@ class TestSweeps:
             config = json.load(f)["config"]
         assert not {"nb", "snr_db", "system"} & set(config)
         assert config["trials"] == 2 and config["seed"] == 1
+
+    def test_sweep_rate_plot_data_to_stdout(self, capsys):
+        assert main(["sweep-rate", "--trials", "1", "--seed", "1", "--plot-data"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "# " + harness.RATE_SWEEP_HEADER.replace(",", " ")
+        assert all("," not in line for line in lines[1:-1])
+        assert lines[-1].startswith("rate reduction: ")
 
     def test_sweep_rate_reports_reduction(self, tmp_path, capsys):
         path = str(tmp_path / "rate.csv")

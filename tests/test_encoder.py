@@ -366,6 +366,99 @@ class TestRoundCertificateRule:
             assert encoder._fit_shape(mask)[0] is None
 
 
+def reference_model_radius(angles, n, radius, rotation):
+    """Center-to-boundary distance of a regular shape along given angles."""
+    if n is None:
+        return np.full_like(angles, radius)
+    folded = (angles - rotation) % (2.0 * math.pi / n) - math.pi / n
+    return radius * math.cos(math.pi / n) / np.cos(folded)
+
+
+def reference_fit_shape(mask):
+    """The template fit one radius and one refinement candidate at a time,
+    scoring a fixed 0.92-1.08 annulus, then the real certificates."""
+    ys, xs = np.nonzero(mask)
+    cy = ys.mean()
+    cx = xs.mean()
+    gx, gy = (g.ravel() for g in np.meshgrid(np.arange(mask.shape[1], dtype=float),
+                                             np.arange(mask.shape[0], dtype=float)))
+    dist = np.hypot(gx - cx, gy - cy)
+    angles = np.arctan2(gy - cy, gx - cx)
+    flat = mask.ravel()
+    area = float(flat.sum())
+
+    best = (None, 0.0, 0.0)
+    best_score = np.inf
+    for n in encoder.CANDIDATE_SHAPES:
+        if n is None:
+            r0 = math.sqrt(area / math.pi)
+            rots = np.array([0.0])
+            refine = ()
+        else:
+            r0 = math.sqrt(2.0 * area / (n * math.sin(2.0 * math.pi / n)))
+            rot_step = 2.0 * math.pi / n / 16
+            rots = np.arange(16) * rot_step
+            refine = (rot_step / 2, rot_step / 4)
+        apothem_frac = 1.0 if n is None else math.cos(math.pi / n)
+        lo = 0.92 * r0 * apothem_frac - 1e-9
+        hi = 1.08 * r0 + 1e-9
+        band = (dist >= lo) & (dist <= hi)
+        base = int((~flat & (dist < lo)).sum() + (flat & (dist > hi)).sum())
+        bdist = dist[band]
+        bang = angles[band]
+        bflat = flat[band]
+        for radius in (0.96 * r0, r0, 1.04 * r0):
+            model = reference_model_radius(bang[:, None], n, radius, rots[None, :])
+            scores = (bflat[:, None] != (bdist[:, None] <= model)).sum(axis=0)
+            k = int(scores.argmin())
+            score, rot = float(scores[k]) + base, float(rots[k])
+            for step in refine:
+                for cand in (rot - step, rot + step):
+                    m = reference_model_radius(bang, n, radius, cand)
+                    sc = float((bflat != (bdist <= m)).sum()) + base
+                    if sc < score:
+                        score, rot = sc, cand
+            if score < best_score:
+                best_score = score
+                best = (n, radius, rot)
+    if best[0] not in (None, 8):
+        return best
+    return reference_round_pick(best, encoder._consistency_slack(mask, None),
+                                encoder._consistency_slack(mask, 8))
+
+
+def structured_masks():
+    """Noiseless renders at each of the fit's 16 grid rotations and a quarter
+    step past it, where its last refinement looks, at integer and half-pixel
+    centres: masks where integer score ties are common. The shape family
+    cycles through the candidates from one render to the next."""
+    masks = []
+    for k in range(16):
+        for quarter in (0.0, 0.25):
+            for center in ((12.0, 12.0), (12.5, 12.0), (12.5, 12.5)):
+                for radius in (6.0, 8.0, 9.0, 10.0, 11.0):
+                    n = encoder.CANDIDATE_SHAPES[len(masks) % len(encoder.CANDIDATE_SHAPES)]
+                    rotation = 0.0 if n is None else (k + quarter) * 2.0 * math.pi / n / 16
+                    spec = scenegen.SceneSpec("x", (0.0, 1.0, 1.0), n, radius, rotation,
+                                              center, pixel_noise_sigma=0.0)
+                    masks.append(encoder.segment(scenegen.render(spec)))
+    return masks
+
+
+class TestFitShapeReference:
+    """The one-expression template fit returns exactly the sequential fit's tuple."""
+
+    def test_seeded_masks(self, masks):
+        for mask in masks:
+            assert encoder._fit_shape(mask) == reference_fit_shape(mask)
+
+    def test_structured_noiseless_masks(self):
+        masks = structured_masks()
+        assert len(masks) == 480
+        for mask in masks:
+            assert encoder._fit_shape(mask) == reference_fit_shape(mask)
+
+
 class TestFitShapeMemo:
     """fit_shape's memo returns exactly what the fit itself returns."""
 
