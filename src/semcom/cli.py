@@ -14,7 +14,11 @@ from .errors import InvalidParameterError, SemcomError
 
 def _snr(text: str) -> float | None:
     """One SNR in dB; ``none`` is the noiseless channel."""
-    return None if text.strip().lower() == "none" else float(text)
+    try:
+        return None if text.strip().lower() == "none" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an SNR in dB or 'none', got {text!r}") from None
 
 
 def _snr_list(text: str) -> tuple[float | None, ...]:
@@ -24,9 +28,13 @@ def _snr_list(text: str) -> tuple[float | None, ...]:
 
 def _seed(text: str) -> int:
     """A base seed: numpy's generators take no negative seed."""
-    if int(text) < 0:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}") from None
+    if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be at least 0, got {text}")
-    return int(text)
+    return seed
 
 
 def _add_batch(parser: argparse.ArgumentParser) -> None:

@@ -14,7 +14,7 @@ from scipy import ndimage
 
 from .cspace import PROTOTYPE_SPECS, SemanticPoint, polygon_ratio
 from .errors import DegenerateHueError, DegenerateSceneError, DegenerateShapeError
-from .scenegen import image_hsv
+from .scenegen import image_hsv, pixel_grid
 
 SATURATION_THRESHOLD = 0.2
 MIN_FOREGROUND_PIXELS = 20
@@ -22,14 +22,13 @@ N_SECTORS = 64
 MIN_NONEMPTY_SECTORS = 8
 
 
-def segment(img: np.ndarray) -> np.ndarray:
-    """Boolean foreground mask: pixels with saturation above threshold.
+def segment(s: np.ndarray) -> np.ndarray:
+    """Boolean foreground mask of a saturation plane: pixels above threshold.
 
     Only the largest 4-connected component is kept; channel noise flips
     roughly one stray background pixel per image above the threshold, and
     a single stray pixel would wreck the shape fit.
     """
-    _, s, _ = image_hsv(img)
     mask = s > SATURATION_THRESHOLD
     labels, count = ndimage.label(mask)
     if count > 1:
@@ -41,13 +40,13 @@ def segment(img: np.ndarray) -> np.ndarray:
     return mask
 
 
-def estimate_color(img: np.ndarray, mask: np.ndarray) -> tuple[float, float, float]:
-    """(hue, saturation, brightness) of the foreground.
+def estimate_color(hsv: tuple, mask: np.ndarray) -> tuple[float, float, float]:
+    """(hue, saturation, brightness) of the foreground, from an image's HSV planes.
 
     Hue is the circular mean (direction of the summed unit vectors), which
     handles the wrap at 0/1 correctly; saturation and value are plain means.
     """
-    h, s, v = image_hsv(img)
+    h, s, v = hsv
     hues = h[mask]
     cos_sum = float(np.cos(2.0 * math.pi * hues).sum())
     sin_sum = float(np.sin(2.0 * math.pi * hues).sum())
@@ -72,14 +71,6 @@ CANDIDATE_SHAPES = (*sorted({n for _, n, _ in PROTOTYPE_SPECS if n is not None})
 #: Tie-break factor when both circle and octagon can reproduce a mask
 #: exactly; calibrated on noiseless renders of both shapes.
 _OCTAGON_SLACK_FACTOR = 2.5
-
-
-@functools.lru_cache(maxsize=4)
-def _grid(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Column and row coordinates of every pixel of a raster, row-major."""
-    gx, gy = np.meshgrid(np.arange(shape[1], dtype=float),
-                         np.arange(shape[0], dtype=float))
-    return gx.ravel(), gy.ravel()
 
 
 def _sector_occupancy(mask: np.ndarray) -> int:
@@ -219,7 +210,7 @@ def _consistency_slack(mask: np.ndarray, n: int | None) -> float:
     ys, xs = np.nonzero(mask)
     cy0 = ys.mean()
     cx0 = xs.mean()
-    gx, gy = _grid(mask.shape)
+    gx, gy = pixel_grid(mask.shape)
     flat = mask.ravel()
     dist0 = np.hypot(gx - cx0, gy - cy0)
     rmax = dist0[flat].max()
@@ -248,14 +239,9 @@ def _consistency_slack(mask: np.ndarray, n: int | None) -> float:
     # grid may skip what cannot reach it and still find the same first maximum
     middle = grid_x.size // 2
     floor = slacks(grid_x[middle:middle + 1], grid_y[middle:middle + 1], -np.inf)[0]
-    grid = slacks(grid_x, grid_y, floor).tolist()
-    best = -np.inf
-    best_c = (cx0, cy0)
-    for s, x, y in zip(grid, grid_x, grid_y):
-        if s > best:
-            best = s
-            best_c = (x, y)
-    cx, cy = best_c
+    grid = slacks(grid_x, grid_y, floor)
+    i = int(grid.argmax())  # finite: at least the middle point's slack
+    best, cx, cy = float(grid[i]), grid_x[i], grid_y[i]
     for step in (0.15, 0.075, 0.0375):
         moves = np.array(_HILL_MOVES, dtype=float) * step
         k = 0
@@ -311,7 +297,7 @@ def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     ys, xs = np.nonzero(mask)
     cy = ys.mean()
     cx = xs.mean()
-    gx, gy = _grid(mask.shape)
+    gx, gy = pixel_grid(mask.shape)
     dist = np.hypot(gx - cx, gy - cy)
     angles = np.arctan2(gy - cy, gx - cx)
     flat = mask.ravel()
@@ -388,7 +374,8 @@ def estimate_shape_ratio(mask: np.ndarray) -> float:
 
 def encode(img: np.ndarray) -> SemanticPoint:
     """Full embedding: segment, then color and shape estimation."""
-    mask = segment(img)
-    hue, sat, val = estimate_color(img, mask)
+    hsv = image_hsv(img)
+    mask = segment(hsv[1])
+    hue, sat, val = estimate_color(hsv, mask)
     ratio = estimate_shape_ratio(mask)
     return SemanticPoint(ratio, hue, min(sat, 1.0), min(val, 1.0))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .harness import Aggregate, _check_batch, draw_trial, run_trial
+from .harness import _check_batch, _run_points, run_trial
 
 
 @dataclass
@@ -91,7 +91,7 @@ class RatePoint:
 @dataclass
 class RateSearchResult:
     minimal_n_b: int | None
-    points: list[RatePoint] = field(default_factory=list)
+    points: list[RatePoint]
 
     @property
     def feasible(self) -> bool:
@@ -116,17 +116,7 @@ def semantic_rate_search(tau: float, snr_db: float | None = None,
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
     _check_batch("semantic", max_n_b, trials, 1)
     n_b_values = range(1, max_n_b + 1)
-    aggs = [Aggregate() for _ in n_b_values]
-    # scene by scene, so the fits of a scene's n_b points hit encoder's memo
-    for i in range(trials):
-        for n_b, agg in zip(n_b_values, aggs):
-            concept, rng = draw_trial(base_seed, i)
-            agg.add(run_trial(concept, n_b, snr_db, rng))
-    result = RateSearchResult(None)
-    for n_b, agg in zip(n_b_values, aggs):
-        mean = agg.mean_distortion
-        point = RatePoint(n_b, mean, agg.distortion_se, mean <= tau)
-        result.points.append(point)
-        if point.feasible and result.minimal_n_b is None:
-            result.minimal_n_b = n_b
-    return result
+    aggs = _run_points(run_trial, [(n_b, snr_db) for n_b in n_b_values], trials, base_seed)
+    points = [RatePoint(n_b, agg.mean_distortion, agg.distortion_se,
+                        agg.mean_distortion <= tau) for n_b, agg in zip(n_b_values, aggs)]
+    return RateSearchResult(next((p.n_b for p in points if p.feasible), None), points)

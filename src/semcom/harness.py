@@ -7,6 +7,7 @@ and reruns are byte-for-byte reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -142,10 +143,6 @@ class Aggregate:
     distortion_sq_sum: float = 0.0
     distortion_count: int = 0
 
-    def add(self, rec: TrialRecord) -> None:
-        self.add_outcome(rec.syntactic_error, rec.semantic_error,
-                         rec.degenerate, rec.distortion)
-
     def add_outcome(self, syntactic: bool, semantic: bool, degenerate: bool,
                     distortion: float) -> None:
         self.trials += 1
@@ -183,16 +180,38 @@ class Aggregate:
         return math.sqrt(var / n)
 
 
-def _run_range(system: str, n_b: int, snr_db: float | None,
-               base_seed: int, indices: range) -> list[tuple]:
-    trial_fn = run_trial if system == "semantic" else run_traditional_trial
+def _trial_outcomes(trial_fn, points, base_seed: int, index: int) -> list[tuple]:
+    """One trial's outcome at each point, each from a fresh draw of its stream."""
     out = []
-    for i in indices:
-        concept, rng = draw_trial(base_seed, i)
+    for n_b, snr_db in points:
+        concept, rng = draw_trial(base_seed, index)
         rec = trial_fn(concept, n_b, snr_db, rng)
         out.append((rec.syntactic_error, rec.semantic_error,
                     rec.degenerate, rec.distortion))
     return out
+
+
+def _run_points(trial_fn, points, trials: int, base_seed: int,
+                workers: int = 1) -> list[Aggregate]:
+    """One Aggregate per (n_b, snr_db) point, over the same trials.
+
+    Trial-major, so a scene's later points find its fit in encoder's memo.
+    Workers take contiguous runs of trial indices, so every point sums its
+    outcomes in trial-index order whatever the worker count.
+    """
+    run = functools.partial(_trial_outcomes, trial_fn, points, base_seed)
+    workers = min(workers, trials)  # a worker beyond the trials would idle
+    if workers <= 1:
+        rows = map(run, range(trials))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(run, range(trials),
+                                 chunksize=math.ceil(trials / workers)))
+    aggs = [Aggregate() for _ in points]
+    for row in rows:
+        for agg, outcome in zip(aggs, row):
+            agg.add_outcome(*outcome)
+    return aggs
 
 
 def run_trials(system: str, n_b: int, snr_db: float | None, trials: int,
@@ -204,22 +223,8 @@ def run_trials(system: str, n_b: int, snr_db: float | None, trials: int,
     processes since the trial loop is CPU-bound.
     """
     _check_batch(system, n_b, trials, workers)
-    workers = min(workers, trials)  # a worker beyond the trials would idle
-    if workers <= 1:
-        outcomes = _run_range(system, n_b, snr_db, base_seed, range(trials))
-    else:
-        chunks = [range(w, trials, workers) for w in range(workers)]
-        outcomes = [None] * trials
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_range, system, n_b, snr_db, base_seed, c)
-                       for c in chunks]
-            for chunk, fut in zip(chunks, futures):
-                for i, rec in zip(chunk, fut.result()):
-                    outcomes[i] = rec
-    agg = Aggregate()
-    for outcome in outcomes:
-        agg.add_outcome(*outcome)
-    return agg
+    trial_fn = run_trial if system == "semantic" else run_traditional_trial
+    return _run_points(trial_fn, [(n_b, snr_db)], trials, base_seed, workers)[0]
 
 
 def sweep_snr(cfg: ExperimentConfig) -> list[dict]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import colorsys
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -78,6 +79,15 @@ def _shape_mask(xs: np.ndarray, ys: np.ndarray, spec: SceneSpec) -> np.ndarray:
     return inside
 
 
+@functools.lru_cache(maxsize=4)
+def pixel_grid(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row coordinates of every pixel of a raster, row-major."""
+    gx, gy = np.meshgrid(np.arange(shape[1], dtype=float),
+                         np.arange(shape[0], dtype=float))
+    gx.flags.writeable = gy.flags.writeable = False  # shared by every caller
+    return gx.ravel(), gy.ravel()
+
+
 def render(spec: SceneSpec, rng: np.random.Generator | None = None) -> np.ndarray:
     """Rasterize a spec to a (25, 25, 3) float image with channels in [0, 1].
 
@@ -85,9 +95,8 @@ def render(spec: SceneSpec, rng: np.random.Generator | None = None) -> np.ndarra
     saturation and value clamped to [0, 1]), the rest the background gray; i.i.d. Gaussian noise is added per channel and
     clamped. rng may be omitted when pixel_noise_sigma is 0.
     """
-    xs, ys = np.meshgrid(np.arange(IMAGE_SIZE, dtype=float),
-                         np.arange(IMAGE_SIZE, dtype=float))
-    mask = _shape_mask(xs, ys, spec)
+    shape = (IMAGE_SIZE, IMAGE_SIZE)
+    mask = _shape_mask(*pixel_grid(shape), spec).reshape(shape)
     h, s, v = spec.fill_hsv
     img = np.full((IMAGE_SIZE, IMAGE_SIZE, 3), BACKGROUND_VALUE)
     img[mask] = colorsys.hsv_to_rgb(h % 1.0, min(max(s, 0.0), 1.0),

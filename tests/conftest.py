@@ -5,10 +5,23 @@ printed in a dedicated section of the terminal summary so the pass/fail
 status of every criterion is visible even when output capture is on.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 _criterion_lines: list[str] = []
+_TESTS_DIR = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """Turn every warning of a test under this directory into an error.
+
+    Prepended, so a test's own filterwarnings mark still takes precedence.
+    """
+    for item in items:
+        if _TESTS_DIR in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 def record_criterion(line: str) -> None:

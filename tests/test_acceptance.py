@@ -80,9 +80,9 @@ def test_criterion_4_semantic_vs_syntactic_gap(criterion_report):
 
 def test_criterion_5_distortion_floor(criterion_report):
     """High-SNR distortion equals the noiseless floor within 3 SE, and > 0."""
-    trials = 3_000
-    high = harness.run_trials("semantic", 8, 30.0, trials, 0, workers=1)
-    clean = harness.run_trials("semantic", 8, None, trials, 0, workers=1)
+    # both points in one trial-major run, so each scene is fitted once
+    high, clean = harness._run_points(harness.run_trial, [(8, 30.0), (8, None)],
+                                      3_000, 0)
     diff = high.mean_distortion - clean.mean_distortion
     se = math.hypot(high.distortion_se, clean.distortion_se)
     ok = abs(diff) <= 3.0 * se and high.mean_distortion > 0.0
@@ -239,7 +239,8 @@ def test_criterion_9_encoder_floor(criterion_report):
         clean = scenegen.SceneSpec(spec.concept, spec.fill_hsv, spec.n_sides,
                                    spec.circumradius, spec.rotation,
                                    spec.center, pixel_noise_sigma=0.0)
-        r = encoder.estimate_shape_ratio(encoder.segment(scenegen.render(clean)))
+        r = encoder.estimate_shape_ratio(
+            encoder.segment(scenegen.image_hsv(scenegen.render(clean))[1]))
         ratios_ok = ratios_ok and lo <= r <= hi
 
     ok = accuracy >= 0.99 and ratios_ok

@@ -46,6 +46,23 @@ def test_negative_seed_refused(command, tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--snr-db", "abc"],
+    ["sweep-snr", "--snr-db", "10,x"],
+    ["funcomp", "rate-search", "--tau", "0.002", "--snr", "x"],
+    ["funcomp", "rate-search", "--tau", "0.002", "--seed", "x"],
+    ["simulate", "--seed", "1.5"],
+], ids=["simulate-snr", "sweep-snr-list", "rate-search-snr", "rate-search-seed",
+        "simulate-seed"])
+def test_malformed_value_error_names_the_expected_value(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "expected " in err
+    assert not re.search(r"\b_\w", err)  # no private function name
+
+
 class TestPrototypes:
     def test_prints_table(self, capsys):
         assert main(["prototypes"]) == 0

@@ -24,6 +24,16 @@ def noiseless_render(concept, rng):
     return clean, scenegen.render(clean)
 
 
+def segment(img):
+    """encoder.segment of an RGB image, given its saturation plane."""
+    return encoder.segment(scenegen.image_hsv(img)[1])
+
+
+def estimate_color(img, mask):
+    """encoder.estimate_color of an RGB image, given its HSV planes."""
+    return encoder.estimate_color(scenegen.image_hsv(img), mask)
+
+
 def noisy_scene(seed, concept, sigma):
     rng = np.random.default_rng(seed)
     spec = scenegen.sample_spec(concept, rng)
@@ -51,32 +61,32 @@ class TestSegment:
         xs, ys = np.meshgrid(np.arange(25, dtype=float),
                              np.arange(25, dtype=float))
         expected = scenegen._shape_mask(xs, ys, spec)
-        assert np.array_equal(encoder.segment(img), expected)
+        assert np.array_equal(segment(img), expected)
 
     def test_all_gray_degenerate(self):
         img = np.full((25, 25, 3), 0.5)
         with pytest.raises(DegenerateSceneError):
-            encoder.segment(img)
+            segment(img)
 
     def test_stray_pixels_removed(self, rng):
         spec, img = noiseless_render("red-octagon", rng)
         img = img.copy()
         img[0, 0] = (1.0, 0.0, 0.0)  # isolated saturated corner pixel
-        mask = encoder.segment(img)
+        mask = segment(img)
         assert not mask[0, 0]
 
     def test_min_foreground_enforced(self):
         img = np.full((25, 25, 3), 0.5)
         img[12, 10:14] = (1.0, 0.0, 0.0)  # 4 pixels < 20
         with pytest.raises(DegenerateSceneError):
-            encoder.segment(img)
+            segment(img)
 
 
 class TestEstimateColor:
     def test_uniform_fill(self):
         img = flat_image(1.0 / 6.0, 1.0, 1.0)
         mask = np.ones((25, 25), dtype=bool)
-        h, s, v = encoder.estimate_color(img, mask)
+        h, s, v = estimate_color(img, mask)
         assert h == pytest.approx(1.0 / 6.0, abs=1e-9)
         assert s == pytest.approx(1.0)
         assert v == pytest.approx(1.0)
@@ -87,7 +97,7 @@ class TestEstimateColor:
         img[:, 12:] = colorsys.hsv_to_rgb(0.05, 1.0, 1.0)
         mask = np.zeros((25, 25), dtype=bool)
         mask[:, 11:13] = True  # equal counts of the two hues
-        h, _, _ = encoder.estimate_color(img, mask)
+        h, _, _ = estimate_color(img, mask)
         assert min(h, 1.0 - h) == pytest.approx(0.0, abs=1e-9)
 
     def test_antipodal_hues_degenerate(self):
@@ -97,12 +107,12 @@ class TestEstimateColor:
         mask = np.zeros((25, 25), dtype=bool)
         mask[:, 11] = mask[:, 13] = True
         with pytest.raises(DegenerateHueError):
-            encoder.estimate_color(img, mask)
+            estimate_color(img, mask)
 
     def test_noiseless_render_recovers_fill(self, rng):
         spec, img = noiseless_render("yellow-square", rng)
-        mask = encoder.segment(img)
-        h, s, v = encoder.estimate_color(img, mask)
+        mask = segment(img)
+        h, s, v = estimate_color(img, mask)
         fh, fs, fv = spec.fill_hsv
         assert cspace.circular_distance(h, fh) < 0.02
         assert abs(s - fs) < 0.02
@@ -111,10 +121,9 @@ class TestEstimateColor:
     def test_hue_rotation_equivariance(self, rng):
         base = 0.11
         mask = np.ones((25, 25), dtype=bool)
-        h0, _, _ = encoder.estimate_color(flat_image(base, 1.0, 1.0), mask)
+        h0, _, _ = estimate_color(flat_image(base, 1.0, 1.0), mask)
         for c in (0.1, 0.25, 0.5, 0.77):
-            h1, _, _ = encoder.estimate_color(
-                flat_image((base + c) % 1.0, 1.0, 1.0), mask)
+            h1, _, _ = estimate_color(flat_image((base + c) % 1.0, 1.0, 1.0), mask)
             assert cspace.circular_distance(h1, (h0 + c) % 1.0) < 1e-6
 
 
@@ -133,28 +142,28 @@ class TestShapeRatio:
     def test_circle_radius_ten(self):
         spec = scenegen.SceneSpec("red-circle", (0.0, 1.0, 1.0), None, 10.0,
                                   0.0, (12.0, 12.0), pixel_noise_sigma=0.0)
-        mask = encoder.segment(scenegen.render(spec))
+        mask = segment(scenegen.render(spec))
         assert 1.0 <= encoder.estimate_shape_ratio(mask) <= 1.06
 
     def test_triangle(self, rng):
         _, img = noiseless_render("red-triangle", rng)
-        r = encoder.estimate_shape_ratio(encoder.segment(img))
+        r = encoder.estimate_shape_ratio(segment(img))
         assert 1.85 <= r <= 2.15
 
     def test_square(self, rng):
         _, img = noiseless_render("yellow-square", rng)
-        r = encoder.estimate_shape_ratio(encoder.segment(img))
+        r = encoder.estimate_shape_ratio(segment(img))
         assert 1.35 <= r <= 1.48
 
     def test_octagon(self, rng):
         _, img = noiseless_render("red-octagon", rng)
-        r = encoder.estimate_shape_ratio(encoder.segment(img))
+        r = encoder.estimate_shape_ratio(segment(img))
         assert r == pytest.approx(1.0824, abs=0.01)
 
     def test_ratio_at_least_one(self, rng):
         for concept in scenegen.CONCEPT_SHAPES:
             _, img = noiseless_render(concept, rng)
-            assert encoder.estimate_shape_ratio(encoder.segment(img)) >= 1.0
+            assert encoder.estimate_shape_ratio(segment(img)) >= 1.0
 
     def test_rotation_invariance(self):
         for n, ideal in ((3, 2.0), (4, math.sqrt(2.0)), (8, 1.0824)):
@@ -162,7 +171,7 @@ class TestShapeRatio:
                 rot = k * 2.0 * math.pi / n / 16
                 spec = scenegen.SceneSpec("x", (0.0, 1.0, 1.0), n, 9.0, rot,
                                           (12.0, 12.0), pixel_noise_sigma=0.0)
-                mask = encoder.segment(scenegen.render(spec))
+                mask = segment(scenegen.render(spec))
                 r = encoder.estimate_shape_ratio(mask)
                 assert abs(r - ideal) <= 0.1, (n, k, r)
 
@@ -170,7 +179,7 @@ class TestShapeRatio:
         img = np.full((25, 25, 3), 0.5)
         img[12, 2:23] = (1.0, 0.0, 0.0)  # a 1-pixel-high bar
         with pytest.raises(DegenerateShapeError):
-            encoder.estimate_shape_ratio(encoder.segment(img))
+            encoder.estimate_shape_ratio(segment(img))
 
 
 class TestEncode:
@@ -285,7 +294,7 @@ def seeded_masks():
             images.append(baseline.pixel_dequantize(received, 8))
             for img in images:
                 try:
-                    masks.append(encoder.segment(img))
+                    masks.append(segment(img))
                 except SemcomError:
                     pass
     return masks
@@ -441,7 +450,7 @@ def structured_masks():
                     rotation = 0.0 if n is None else (k + quarter) * 2.0 * math.pi / n / 16
                     spec = scenegen.SceneSpec("x", (0.0, 1.0, 1.0), n, radius, rotation,
                                               center, pixel_noise_sigma=0.0)
-                    masks.append(encoder.segment(scenegen.render(spec)))
+                    masks.append(segment(scenegen.render(spec)))
     return masks
 
 

@@ -172,6 +172,13 @@ class TestRateSearch:
             assert math.isnan(p.mean_distortion) and math.isnan(p.stderr)
             assert not p.feasible
 
+    def test_each_scene_is_fitted_once(self):
+        # trial by trial, a scene's second n_b finds its fit in the memo; point
+        # by point, 40 scenes overflow the memo and every fit would run twice
+        encoder._fit_shape_cached.cache_clear()
+        funcomp.semantic_rate_search(10.0, snr_db=None, trials=40, max_n_b=2)
+        assert encoder._fit_shape_cached.cache_info().misses <= 40
+
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     def test_points_equal_run_trials(self, snr_db):
         # the search accumulates exactly as run_trials does, n_b by n_b

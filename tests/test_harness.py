@@ -161,6 +161,19 @@ class TestRunTrials:
         assert sizes == [2]  # a single trial runs in this process
 
 
+class TestRunPoints:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("system,trial_fn", [
+        ("semantic", harness.run_trial),
+        ("traditional", harness.run_traditional_trial)], ids=["semantic", "traditional"])
+    def test_equals_run_trials_point_by_point(self, system, trial_fn, workers):
+        # 7 trials over 2 or 3 workers leave uneven chunks
+        points = [(2, 5.0), (5, 5.0), (8, 5.0)]
+        aggs = harness._run_points(trial_fn, points, 7, 2, workers)
+        assert aggs == [harness.run_trials(system, n_b, snr_db, 7, 2)
+                        for n_b, snr_db in points]
+
+
 class TestSweeps:
     def test_snr_sweep_rows(self):
         cfg = harness.ExperimentConfig(trials=15, snr_db_list=(0.0, 30.0),
