@@ -58,9 +58,9 @@ def estimate_color(hsv: tuple, mask: np.ndarray) -> tuple[float, float, float]:
 
 def boundary_mask(mask: np.ndarray) -> np.ndarray:
     """Foreground pixels with a 4-neighbor outside the foreground or the frame."""
-    padded = np.pad(mask, 1, constant_values=False)
-    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
-                & padded[1:-1, :-2] & padded[1:-1, 2:])
+    interior = np.zeros_like(mask)
+    interior[1:-1, 1:-1] = (mask[:-2, 1:-1] & mask[2:, 1:-1]
+                            & mask[1:-1, :-2] & mask[1:-1, 2:])
     return mask & ~interior
 
 

@@ -64,8 +64,7 @@ def _check_batch(system: str, n_b: int, trials: int, workers: int) -> None:
         raise InvalidParameterError(f"unknown system {system!r}")
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    if not 1 <= n_b <= 16:
-        raise InvalidParameterError("n_b must be in [1, 16]")
+    phy.QuantizerSpec(n_b)
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1")
 
@@ -228,7 +227,7 @@ def run_trials(system: str, n_b: int, snr_db: float | None, trials: int,
 
 
 def sweep_snr(cfg: ExperimentConfig) -> list[dict]:
-    """Error probabilities and mean distortion per SNR point."""
+    """Error probabilities and mean distortion per SNR point, one run_trials batch each."""
     rows = []
     for snr_db in cfg.snr_db_list:
         agg = run_trials(cfg.system, cfg.n_b, snr_db, cfg.trials,
@@ -246,21 +245,18 @@ def sweep_snr(cfg: ExperimentConfig) -> list[dict]:
 
 
 def sweep_rate(trials: int, base_seed: int, workers: int = 1) -> list[dict]:
-    """Rate-vs-semantic-error table rows for both systems at RATE_SWEEP_SNR_DB."""
+    """Rate-vs-semantic-error rows at RATE_SWEEP_SNR_DB, one _run_points batch per system."""
+    _check_batch("semantic", RATE_SWEEP_NB[0], trials, workers)
+    points = [(n_b, RATE_SWEEP_SNR_DB) for n_b in RATE_SWEEP_NB]
     rows = []
-    for system in ("semantic", "traditional"):
-        rate_fn = (baseline.semantic_rate_bits if system == "semantic"
-                   else baseline.traditional_rate_bits)
-        for n_b in RATE_SWEEP_NB:
-            agg = run_trials(system, n_b, RATE_SWEEP_SNR_DB, trials,
-                             base_seed, workers)
-            rows.append({
-                "system": system,
-                "nb": n_b,
-                "rate_bits": rate_fn(n_b),
-                "p_semantic": agg.p_semantic,
-                "p_semantic_se": agg.proportion_se(agg.p_semantic),
-            })
+    for system, trial_fn, rate_fn in (
+            ("semantic", run_trial, baseline.semantic_rate_bits),
+            ("traditional", run_traditional_trial, baseline.traditional_rate_bits)):
+        aggs = _run_points(trial_fn, points, trials, base_seed, workers)
+        rows += [{"system": system, "nb": n_b, "rate_bits": rate_fn(n_b),
+                  "p_semantic": agg.p_semantic,
+                  "p_semantic_se": agg.proportion_se(agg.p_semantic)}
+                 for n_b, agg in zip(RATE_SWEEP_NB, aggs)]
     return rows
 
 

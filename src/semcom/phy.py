@@ -66,12 +66,10 @@ def _linear_snr(snr_db: float) -> float:
 
 
 def quantize(p: SemanticPoint, spec: QuantizerSpec) -> np.ndarray:
-    """Mid-rise cell indices for each dimension; hue wraps, the rest clamp."""
+    """Mid-rise cell indices per dimension, clamped (SemanticPoint keeps hue in [0, 1))."""
     indices = np.empty(4, dtype=np.int64)
-    for i, (v, (lo, hi, circular)) in enumerate(zip(p.as_tuple(), DIMENSION_RANGES)):
+    for i, (v, (lo, hi, _)) in enumerate(zip(p.as_tuple(), DIMENSION_RANGES)):
         width = (hi - lo) / spec.levels
-        if circular:
-            v = lo + (v - lo) % (hi - lo)
         idx = int((v - lo) / width)
         indices[i] = min(max(idx, 0), spec.levels - 1)
     return indices
@@ -91,10 +89,11 @@ def dequantize(indices: np.ndarray, spec: QuantizerSpec) -> SemanticPoint:
 
 def pack(indices: np.ndarray, n_b: int) -> np.ndarray:
     """Bit packet: dimension order (r, h, s, b), each index MSB first."""
+    levels = QuantizerSpec(n_b).levels
     indices = np.asarray(indices)
     if indices.shape != (4,):
         raise MalformedPacketError(f"expected 4 indices, got shape {indices.shape}")
-    if (indices < 0).any() or (indices >= (1 << n_b)).any():
+    if (indices < 0).any() or (indices >= levels).any():
         raise MalformedPacketError(f"index out of range for n_b={n_b}")
     shifts = np.arange(n_b - 1, -1, -1)
     return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
@@ -102,6 +101,7 @@ def pack(indices: np.ndarray, n_b: int) -> np.ndarray:
 
 def unpack(bits: np.ndarray, n_b: int) -> np.ndarray:
     """Inverse of pack; rejects packets of the wrong length."""
+    QuantizerSpec(n_b)
     bits = np.asarray(bits)
     if bits.shape != (4 * n_b,):
         raise MalformedPacketError(

@@ -44,7 +44,6 @@ class SceneSpec:
     circumradius: float
     rotation: float
     center: tuple[float, float]
-    pixel_noise_sigma: float = PIXEL_NOISE_SIGMA
 
 
 def sample_spec(concept: str, rng: np.random.Generator) -> SceneSpec:
@@ -92,8 +91,9 @@ def render(spec: SceneSpec, rng: np.random.Generator | None = None) -> np.ndarra
     """Rasterize a spec to a (25, 25, 3) float image with channels in [0, 1].
 
     Pixel centers inside the shape get the fill color (hue taken mod 1,
-    saturation and value clamped to [0, 1]), the rest the background gray; i.i.d. Gaussian noise is added per channel and
-    clamped. rng may be omitted when pixel_noise_sigma is 0.
+    saturation and value clamped to [0, 1]), the rest the background gray.
+    Given a stream, i.i.d. Gaussian noise of PIXEL_NOISE_SIGMA is drawn from
+    it per channel and the sum clamped; without one the raster is noiseless.
     """
     shape = (IMAGE_SIZE, IMAGE_SIZE)
     mask = _shape_mask(*pixel_grid(shape), spec).reshape(shape)
@@ -101,11 +101,9 @@ def render(spec: SceneSpec, rng: np.random.Generator | None = None) -> np.ndarra
     img = np.full((IMAGE_SIZE, IMAGE_SIZE, 3), BACKGROUND_VALUE)
     img[mask] = colorsys.hsv_to_rgb(h % 1.0, min(max(s, 0.0), 1.0),
                                     min(max(v, 0.0), 1.0))
-    if spec.pixel_noise_sigma > 0:
-        if rng is None:
-            raise InvalidParameterError("noisy render requires an rng")
-        img = img + rng.normal(0.0, spec.pixel_noise_sigma, img.shape)
-    return np.clip(img, 0.0, 1.0)
+    if rng is not None:
+        img = np.clip(img + rng.normal(0.0, PIXEL_NOISE_SIGMA, img.shape), 0.0, 1.0)
+    return img
 
 
 def image_hsv(img: np.ndarray):

@@ -1,10 +1,12 @@
 """Acceptance suite: one test and one reported verdict line per criterion.
 
 Each test computes its statistic at the stated sample size and tolerance,
-registers a PASS/FAIL line for the terminal summary, and then asserts.
+registers a PASS/FAIL line for the terminal summary, and then asserts that
+it passed and that its line equals the one in ``golden/criteria.txt``.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,11 +14,23 @@ import pytest
 from semcom import baseline, cspace, encoder, funcomp, harness, phy, scenegen
 from semcom.errors import SemcomError
 
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "golden", "criteria.txt")) as f:
+    GOLDEN_LINES = f.read().splitlines()
+
 
 def verdict(report, number, ok, detail):
     line = f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}"
     report(line)
     assert ok, line
+    assert line == GOLDEN_LINES[number - 1]
+
+
+@pytest.fixture(scope="module")
+def semantic_15db():
+    """Semantic trials at 15 dB for n_b 8 and 2 in one trial-major run, so
+    criteria 4 and 6 fit each scene once."""
+    return harness._run_points(harness.run_trial, [(8, 15.0), (2, 15.0)], 10_000, 0)
 
 
 def test_criterion_1_rate_reduction(criterion_report):
@@ -68,9 +82,9 @@ def test_criterion_3_channel_ber(criterion_report):
             ok, f"BER deviations {', '.join(details)} (max {worst:.2f}se)")
 
 
-def test_criterion_4_semantic_vs_syntactic_gap(criterion_report):
+def test_criterion_4_semantic_vs_syntactic_gap(criterion_report, semantic_15db):
     """At 15 dB / n_b=8 syntactic errors are frequent, semantic errors rare."""
-    agg = harness.run_trials("semantic", 8, 15.0, 10_000, 0, workers=1)
+    agg = semantic_15db[0]
     ok = (agg.p_syntactic >= 0.1
           and agg.p_syntactic >= 2.0 * agg.p_semantic)
     verdict(criterion_report, 4,
@@ -92,9 +106,9 @@ def test_criterion_5_distortion_floor(criterion_report):
                 f"3se={3 * se:.2g})")
 
 
-def test_criterion_6_low_rate_ordering(criterion_report):
+def test_criterion_6_low_rate_ordering(criterion_report, semantic_15db):
     """At 15 dB and n_b=2 the semantic system beats pixel transmission."""
-    semantic = harness.run_trials("semantic", 2, 15.0, 10_000, 0, workers=1)
+    semantic = semantic_15db[1]
     traditional = harness.run_trials("traditional", 2, 15.0, 10_000, 0,
                                      workers=1)
     ok = semantic.p_semantic < traditional.p_semantic
@@ -236,11 +250,8 @@ def test_criterion_9_encoder_floor(criterion_report):
     rng = np.random.default_rng(40)
     for label, (lo, hi) in ideal.items():
         spec = scenegen.sample_spec(label, rng)
-        clean = scenegen.SceneSpec(spec.concept, spec.fill_hsv, spec.n_sides,
-                                   spec.circumradius, spec.rotation,
-                                   spec.center, pixel_noise_sigma=0.0)
         r = encoder.estimate_shape_ratio(
-            encoder.segment(scenegen.image_hsv(scenegen.render(clean))[1]))
+            encoder.segment(scenegen.image_hsv(scenegen.render(spec))[1]))
         ratios_ok = ratios_ok and lo <= r <= hi
 
     ok = accuracy >= 0.99 and ratios_ok

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcom import baseline, harness, scenegen
-from semcom.errors import MalformedPacketError
+from semcom.errors import InvalidParameterError, MalformedPacketError
 
 
 class TestRates:
@@ -44,6 +44,19 @@ class TestPixelCodec:
         bits = baseline.pixel_quantize(img, 2)
         back = baseline.pixel_dequantize(bits, 2)
         assert np.all(back == 3.5 / 4.0)
+
+    def test_huge_value_clamps_before_the_cast(self):
+        img = np.full((25, 25, 3), 1e300)
+        back = baseline.pixel_dequantize(baseline.pixel_quantize(img, 8), 8)
+        assert np.all(back == 255.5 / 256.0)
+
+    @pytest.mark.parametrize("n_b", [-1, 0, 17])
+    def test_rejects_n_b_outside_the_quantizer_range(self, n_b):
+        with pytest.raises(InvalidParameterError):
+            baseline.pixel_quantize(np.zeros((25, 25, 3)), n_b)
+        with pytest.raises(InvalidParameterError):
+            baseline.pixel_dequantize(
+                np.zeros(max(baseline.traditional_rate_bits(n_b), 0), dtype=np.uint8), n_b)
 
     def test_row_major_rgb_order(self):
         img = np.zeros((25, 25, 3))

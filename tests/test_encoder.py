@@ -1,7 +1,6 @@
 """Analytic encoder: segmentation, color statistics, shape classification."""
 
 import colorsys
-import dataclasses
 import math
 
 import numpy as np
@@ -18,10 +17,7 @@ from semcom.errors import (DegenerateHueError, DegenerateSceneError,
 
 def noiseless_render(concept, rng):
     spec = scenegen.sample_spec(concept, rng)
-    clean = scenegen.SceneSpec(spec.concept, spec.fill_hsv, spec.n_sides,
-                               spec.circumradius, spec.rotation, spec.center,
-                               pixel_noise_sigma=0.0)
-    return clean, scenegen.render(clean)
+    return spec, scenegen.render(spec)
 
 
 def segment(img):
@@ -36,8 +32,8 @@ def estimate_color(img, mask):
 
 def noisy_scene(seed, concept, sigma):
     rng = np.random.default_rng(seed)
-    spec = scenegen.sample_spec(concept, rng)
-    return scenegen.render(dataclasses.replace(spec, pixel_noise_sigma=sigma), rng)
+    img = scenegen.render(scenegen.sample_spec(concept, rng))
+    return np.clip(img + rng.normal(0.0, sigma, img.shape), 0.0, 1.0)
 
 
 #: Finite images in [0, 1]: arbitrary arrays, uniform noise, and scenes of
@@ -141,7 +137,7 @@ class TestBoundaryMask:
 class TestShapeRatio:
     def test_circle_radius_ten(self):
         spec = scenegen.SceneSpec("red-circle", (0.0, 1.0, 1.0), None, 10.0,
-                                  0.0, (12.0, 12.0), pixel_noise_sigma=0.0)
+                                  0.0, (12.0, 12.0))
         mask = segment(scenegen.render(spec))
         assert 1.0 <= encoder.estimate_shape_ratio(mask) <= 1.06
 
@@ -170,7 +166,7 @@ class TestShapeRatio:
             for k in range(16):
                 rot = k * 2.0 * math.pi / n / 16
                 spec = scenegen.SceneSpec("x", (0.0, 1.0, 1.0), n, 9.0, rot,
-                                          (12.0, 12.0), pixel_noise_sigma=0.0)
+                                          (12.0, 12.0))
                 mask = segment(scenegen.render(spec))
                 r = encoder.estimate_shape_ratio(mask)
                 assert abs(r - ideal) <= 0.1, (n, k, r)
@@ -200,8 +196,7 @@ class TestEncode:
     def test_yellow_square_near_prototype(self):
         mid = 12.0
         spec = scenegen.SceneSpec("yellow-square", (1.0 / 6.0, 1.0, 0.9714),
-                                  4, 9.0, 0.0, (mid, mid),
-                                  pixel_noise_sigma=0.0)
+                                  4, 9.0, 0.0, (mid, mid))
         point = encoder.encode(scenegen.render(spec))
         proto = cspace.SemanticPoint(math.sqrt(2.0), 1.0 / 6.0, 1.0, 0.9714)
         assert cspace.semantic_metric(point, proto) < 0.05
@@ -284,10 +279,7 @@ def seeded_masks():
         for i in range(4):
             rng = harness.trial_rng(900 + ci, i)
             spec = scenegen.sample_spec(concept, rng)
-            clean = scenegen.SceneSpec(spec.concept, spec.fill_hsv, spec.n_sides,
-                                       spec.circumradius, spec.rotation,
-                                       spec.center, pixel_noise_sigma=0.0)
-            images = [scenegen.render(clean), scenegen.render(spec, rng)]
+            images = [scenegen.render(spec), scenegen.render(spec, rng)]
             snr = (0.0, 10.0, 20.0)[(ci + i) % 3]
             bits = baseline.pixel_quantize(images[1], 8)
             received = phy.transmit_packet(bits, phy.ChannelParams(snr, rng))
@@ -449,7 +441,7 @@ def structured_masks():
                     n = encoder.CANDIDATE_SHAPES[len(masks) % len(encoder.CANDIDATE_SHAPES)]
                     rotation = 0.0 if n is None else (k + quarter) * 2.0 * math.pi / n / 16
                     spec = scenegen.SceneSpec("x", (0.0, 1.0, 1.0), n, radius, rotation,
-                                              center, pixel_noise_sigma=0.0)
+                                              center)
                     masks.append(segment(scenegen.render(spec)))
     return masks
 

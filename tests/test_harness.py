@@ -11,6 +11,20 @@ from semcom import cspace, encoder, harness, phy, scenegen
 from semcom.errors import DegenerateSceneError, InvalidParameterError
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool harness starts, in order."""
+    sizes = []
+
+    class Pool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
 class TestTrialRng:
     def test_deterministic(self):
         a = harness.trial_rng(3, 17).integers(0, 1 << 30, size=8)
@@ -145,20 +159,12 @@ class TestRunTrials:
         with pytest.raises(InvalidParameterError):
             harness.run_trials("semantic", 8, None, 2, 0, workers=workers)
 
-    def test_pool_no_larger_than_the_trials(self, monkeypatch):
-        sizes = []
-
-        class Pool(harness.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    def test_pool_no_larger_than_the_trials(self, pool_sizes):
         agg = harness.run_trials("semantic", 8, None, 2, 5, workers=3)
-        assert sizes == [2]
+        assert pool_sizes == [2]
         assert agg == harness.run_trials("semantic", 8, None, 2, 5, workers=1)
         harness.run_trials("semantic", 8, None, 1, 5, workers=3)
-        assert sizes == [2]  # a single trial runs in this process
+        assert pool_sizes == [2]  # a single trial runs in this process
 
 
 class TestRunPoints:
@@ -182,6 +188,11 @@ class TestSweeps:
         assert len(rows) == 2
         assert list(rows[0]) == harness.SNR_SWEEP_HEADER.split(",")
         assert rows[0]["p_syntactic"] >= rows[1]["p_syntactic"]
+
+    def test_rate_sweep_is_one_pool_per_system(self, pool_sizes):
+        rows = harness.sweep_rate(3, 1, workers=2)
+        assert pool_sizes == [2, 2]
+        assert rows == harness.sweep_rate(3, 1, workers=1)
 
     def test_rate_sweep_rows(self):
         rows = harness.sweep_rate(2, 1)

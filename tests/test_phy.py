@@ -59,7 +59,7 @@ class TestQuantizeDequantize:
         assert idx[0] == spec.levels - 1
         assert idx[2] == idx[3] == spec.levels - 1
 
-    def test_hue_wraps_not_clamps(self):
+    def test_hue_just_below_one_lands_in_the_top_cell(self):
         spec = phy.QuantizerSpec(4)
         near_one = cspace.SemanticPoint(1.0, 1.0 - 1e-9, 0.0, 0.0)
         assert phy.quantize(near_one, spec)[1] == spec.levels - 1
@@ -96,6 +96,13 @@ class TestPackUnpack:
     def test_packet_length(self):
         for n_b in (1, 5, 16):
             assert phy.pack(np.zeros(4, dtype=int), n_b).size == 4 * n_b
+
+    @pytest.mark.parametrize("n_b", [-1, 0, 17])
+    def test_rejects_n_b_outside_the_quantizer_range(self, n_b):
+        with pytest.raises(InvalidParameterError):
+            phy.pack(np.zeros(4, dtype=int), n_b)
+        with pytest.raises(InvalidParameterError):
+            phy.unpack(np.zeros(max(4 * n_b, 0), dtype=np.uint8), n_b)
 
 
 class TestBpsk:

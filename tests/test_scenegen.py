@@ -15,12 +15,6 @@ from semcom.errors import InvalidParameterError
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def noiseless(spec: scenegen.SceneSpec) -> scenegen.SceneSpec:
-    return scenegen.SceneSpec(spec.concept, spec.fill_hsv, spec.n_sides,
-                              spec.circumradius, spec.rotation, spec.center,
-                              pixel_noise_sigma=0.0)
-
-
 class TestHsvRgb:
     @pytest.mark.parametrize("hsv,rgb", [
         ((0.0, 1.0, 1.0), (1.0, 0.0, 0.0)),        # red
@@ -30,8 +24,7 @@ class TestHsvRgb:
     ])
     def test_known_colors(self, hsv, rgb):
         # render fills the shape with the spec's HSV colour as RGB
-        spec = scenegen.SceneSpec("red-circle", hsv, None, 6.0, 0.0, (12.0, 12.0),
-                                  pixel_noise_sigma=0.0)
+        spec = scenegen.SceneSpec("red-circle", hsv, None, 6.0, 0.0, (12.0, 12.0))
         assert tuple(scenegen.render(spec)[12, 12]) == pytest.approx(rgb)
         h, s, v = scenegen.image_hsv(np.asarray([rgb]))
         assert (h[0], s[0], v[0]) == pytest.approx(hsv)
@@ -87,7 +80,7 @@ class TestRender:
         assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_noiseless_circle_matches_point_test(self, rng):
-        spec = noiseless(scenegen.sample_spec("blue-circle", rng))
+        spec = scenegen.sample_spec("blue-circle", rng)
         img = scenegen.render(spec)
         cx, cy = spec.center
         for y in (0, 6, 12, 18, 24):
@@ -102,23 +95,25 @@ class TestRender:
         # apothem 8*cos(pi/4) ~ 5.657 covering an 11x11 pixel block
         mid = 12.0
         spec = scenegen.SceneSpec("yellow-square", (1 / 6, 1.0, 1.0), 4, 8.0,
-                                  math.pi / 4.0, (mid, mid),
-                                  pixel_noise_sigma=0.0)
+                                  math.pi / 4.0, (mid, mid))
         img = scenegen.render(spec)
         fg = (np.abs(img - 0.5).max(axis=2) > 1e-9).sum()
         assert fg == 11 * 11
 
-    def test_noise_requires_rng(self, rng):
+    def test_a_stream_adds_pixel_noise_from_it(self, rng):
         spec = scenegen.sample_spec("red-circle", rng)
-        with pytest.raises(InvalidParameterError):
-            scenegen.render(spec, None)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        noise = rng_b.normal(0.0, scenegen.PIXEL_NOISE_SIGMA, (25, 25, 3))
+        assert np.array_equal(scenegen.render(spec, rng_a),
+                              np.clip(scenegen.render(spec) + noise, 0.0, 1.0))
+        assert rng_a.random() == rng_b.random()  # the same number of draws
 
     def test_noisy_mask_close_to_noiseless(self, rng):
         # the sigma=0.02 noise flips only a tiny fraction of threshold tests
         diffs = []
         for _ in range(60):
             spec = scenegen.sample_spec("red-octagon", rng)
-            clean = scenegen.render(noiseless(spec))
+            clean = scenegen.render(spec)
             noisy = scenegen.render(spec, rng)
             m_clean = scenegen.image_hsv(clean)[1] > 0.2
             m_noisy = scenegen.image_hsv(noisy)[1] > 0.2
@@ -126,26 +121,24 @@ class TestRender:
         assert max(diffs) <= 0.02
 
     def test_render_deterministic_given_spec(self, rng):
-        spec = noiseless(scenegen.sample_spec("red-triangle", rng))
+        spec = scenegen.sample_spec("red-triangle", rng)
         assert np.array_equal(scenegen.render(spec), scenegen.render(spec))
 
 
 class TestRotationGeometry:
     def test_polygon_rotation_moves_vertices(self):
         spec = scenegen.SceneSpec("red-triangle", (0.0, 1.0, 1.0), 3, 9.0,
-                                  0.0, (12.0, 12.0), pixel_noise_sigma=0.0)
+                                  0.0, (12.0, 12.0))
         rotated = scenegen.SceneSpec("red-triangle", (0.0, 1.0, 1.0), 3, 9.0,
-                                     math.pi / 3.0, (12.0, 12.0),
-                                     pixel_noise_sigma=0.0)
+                                     math.pi / 3.0, (12.0, 12.0))
         assert not np.array_equal(scenegen.render(spec), scenegen.render(rotated))
 
     def test_full_turn_is_identity(self):
         for n, turn in ((3, 2 * math.pi / 3), (4, math.pi / 2), (8, math.pi / 4)):
             spec = scenegen.SceneSpec("x", (0.0, 1.0, 1.0), n, 9.0, 0.3,
-                                      (12.0, 12.0), pixel_noise_sigma=0.0)
+                                      (12.0, 12.0))
             shifted = scenegen.SceneSpec("x", (0.0, 1.0, 1.0), n, 9.0,
-                                         0.3 + turn, (12.0, 12.0),
-                                         pixel_noise_sigma=0.0)
+                                         0.3 + turn, (12.0, 12.0))
             assert np.array_equal(scenegen.render(spec), scenegen.render(shifted))
 
 
