@@ -14,13 +14,8 @@ import numpy as np
 from .cspace import SemanticPoint
 from .errors import InvalidParameterError, MalformedPacketError
 
-#: The conceptual space: (lo, hi, circular) per dimension, in packet order (r, h, s, b).
-DIMENSION_RANGES = (
-    (1.0, 2.5, False),
-    (0.0, 1.0, True),
-    (0.0, 1.0, False),
-    (0.0, 1.0, False),
-)
+#: The conceptual space: (lo, hi) per dimension, in packet order (r, h, s, b).
+DIMENSION_RANGES = ((1.0, 2.5), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,7 @@ def _linear_snr(snr_db: float) -> float:
 def quantize(p: SemanticPoint, spec: QuantizerSpec) -> np.ndarray:
     """Mid-rise cell indices per dimension, clamped (SemanticPoint keeps hue in [0, 1))."""
     indices = np.empty(4, dtype=np.int64)
-    for i, (v, (lo, hi, _)) in enumerate(zip(p.as_tuple(), DIMENSION_RANGES)):
+    for i, (v, (lo, hi)) in enumerate(zip(p.as_tuple(), DIMENSION_RANGES)):
         width = (hi - lo) / spec.levels
         idx = int((v - lo) / width)
         indices[i] = min(max(idx, 0), spec.levels - 1)
@@ -83,7 +78,7 @@ def dequantize(indices: np.ndarray, spec: QuantizerSpec) -> SemanticPoint:
     if (indices < 0).any() or (indices >= spec.levels).any():
         raise MalformedPacketError(f"index out of range for n_b={spec.n_b}")
     vals = [lo + (int(idx) + 0.5) * (hi - lo) / spec.levels
-            for idx, (lo, hi, _) in zip(indices, DIMENSION_RANGES)]
+            for idx, (lo, hi) in zip(indices, DIMENSION_RANGES)]
     return SemanticPoint(*vals)
 
 

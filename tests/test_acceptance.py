@@ -180,13 +180,9 @@ def test_criterion_8_property_suites(criterion_report):
         for row in pts[:: len(pts) // 50_000]:
             point = cspace.SemanticPoint(*row)
             back = phy.dequantize(phy.quantize(point, spec), spec)
-            for v, vq, (lo, hi, circular) in zip(point.as_tuple(),
-                                                 back.as_tuple(),
-                                                 phy.DIMENSION_RANGES):
-                half = (hi - lo) / spec.levels / 2.0
-                err = (cspace.circular_distance(v, vq) if circular
-                       else abs(v - vq))
-                ok = ok and err <= half + 1e-12
+            for v, vq, (lo, hi) in zip(point.as_tuple(), back.as_tuple(),
+                                       phy.DIMENSION_RANGES):
+                ok = ok and abs(v - vq) <= (hi - lo) / spec.levels / 2.0 + 1e-12
     checks["quantizer-roundtrip"] = ok
 
     # noiseless pipeline transmits packets verbatim
