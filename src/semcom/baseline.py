@@ -1,38 +1,31 @@
 """Traditional pixel-transmission system.
 
-Quantizes every channel of the full 25x25 image into 1875*n_b bits for
-the same BPSK/Rayleigh link; harness.run_traditional_trial classifies the
-reconstruction with the perception stack the semantic system uses.
+phy's mid-rise codec turns every channel of the full 25x25 image into
+1875*n_b bits for the same BPSK/Rayleigh link; harness.run_traditional_trial
+classifies the reconstruction with the semantic system's perception stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MalformedPacketError
-from .phy import QuantizerSpec
+from . import phy
+from .scenegen import IMAGE_SIZE
 
-PIXEL_VALUES = 25 * 25 * 3  # 1875 quantized values per image
+PIXEL_VALUES = IMAGE_SIZE * IMAGE_SIZE * 3  # 1875 quantized values per image
 
 
 def pixel_quantize(img: np.ndarray, n_b: int) -> np.ndarray:
     """Mid-rise quantize all channels on [0,1]; row-major, R,G,B, MSB first."""
-    levels = QuantizerSpec(n_b).levels
-    idx = np.clip(img.ravel() * levels, 0, levels - 1).astype(np.int64)
-    shifts = np.arange(n_b - 1, -1, -1)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
+    spec = phy.QuantizerSpec(n_b)
+    return phy._to_bits(phy._cells(np.ravel(img), 0.0, 1.0, spec.levels), spec)
 
 
 def pixel_dequantize(bits: np.ndarray, n_b: int) -> np.ndarray:
     """Cell-center image reconstruction from a pixel packet."""
-    levels = QuantizerSpec(n_b).levels
-    bits = np.asarray(bits)
-    if bits.shape != (traditional_rate_bits(n_b),):
-        raise MalformedPacketError(
-            f"pixel packet length {bits.size} != {traditional_rate_bits(n_b)}")
-    weights = 1 << np.arange(n_b - 1, -1, -1)
-    idx = (bits.reshape(PIXEL_VALUES, n_b).astype(np.int64) * weights).sum(axis=1)
-    return ((idx + 0.5) / levels).reshape(25, 25, 3)
+    spec = phy.QuantizerSpec(n_b)
+    idx = phy._from_bits(bits, PIXEL_VALUES, spec)
+    return phy._centres(idx, 0.0, 1.0, spec.levels).reshape(IMAGE_SIZE, IMAGE_SIZE, 3)
 
 
 def semantic_rate_bits(n_b: int) -> int:

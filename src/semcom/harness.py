@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -199,7 +200,7 @@ def _run_points(trial_fn, points, trials: int, base_seed: int,
     outcomes in trial-index order whatever the worker count.
     """
     run = functools.partial(_trial_outcomes, trial_fn, points, base_seed)
-    workers = min(workers, trials)  # a worker beyond the trials would idle
+    workers = min(workers, trials, os.cpu_count() or 1)  # more would not run faster
     if workers <= 1:
         rows = map(run, range(trials))
     else:

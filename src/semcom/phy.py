@@ -1,4 +1,4 @@
-"""Technical layer: quantizer, bit packing, BPSK over Rayleigh + AWGN.
+"""Technical layer: the mid-rise codec of both packets, BPSK over Rayleigh + AWGN.
 
 Real-equivalent baseband with per-symbol i.i.d. fading, perfect CSI, and
 coherent detection, verified against the closed-form average BER.
@@ -16,6 +16,7 @@ from .errors import InvalidParameterError, MalformedPacketError
 
 #: The conceptual space: (lo, hi) per dimension, in packet order (r, h, s, b).
 DIMENSION_RANGES = ((1.0, 2.5), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+_LO, _HI = np.array(DIMENSION_RANGES).T
 
 
 @dataclass(frozen=True)
@@ -60,49 +61,58 @@ def _linear_snr(snr_db: float) -> float:
     return snr
 
 
+def _cells(values, lo, hi, levels: int) -> np.ndarray:
+    """Mid-rise cell index of each value in its [lo, hi], clamped to the end cells."""
+    return np.clip((values - lo) / ((hi - lo) / levels), 0, levels - 1).astype(np.int64)
+
+
+def _centres(indices: np.ndarray, lo, hi, levels: int) -> np.ndarray:
+    return lo + (indices + 0.5) * (hi - lo) / levels
+
+
+def _to_bits(indices: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
+    """Each index as n_b bits, MSB first, concatenated in index order."""
+    shifts = np.arange(spec.n_b - 1, -1, -1)
+    return ((indices[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+
+
+def _from_bits(bits: np.ndarray, count: int, spec: QuantizerSpec) -> np.ndarray:
+    """Inverse of _to_bits for a packet of count indices; rejects any other length."""
+    bits = np.asarray(bits)
+    if bits.shape != (count * spec.n_b,):
+        raise MalformedPacketError(f"packet length {bits.size} != {count * spec.n_b}")
+    weights = 1 << np.arange(spec.n_b - 1, -1, -1)
+    return (bits.reshape(count, spec.n_b).astype(np.int64) * weights).sum(axis=1)
+
+
+def _checked_indices(indices: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
+    """The four cell indices of a semantic packet, each in [0, levels)."""
+    indices = np.asarray(indices)
+    if indices.shape != (4,) or (indices < 0).any() or (indices >= spec.levels).any():
+        raise MalformedPacketError(f"expected 4 indices in [0, {spec.levels}), got {indices}")
+    return indices
+
+
 def quantize(p: SemanticPoint, spec: QuantizerSpec) -> np.ndarray:
     """Mid-rise cell indices per dimension, clamped (SemanticPoint keeps hue in [0, 1))."""
-    indices = np.empty(4, dtype=np.int64)
-    for i, (v, (lo, hi)) in enumerate(zip(p.as_tuple(), DIMENSION_RANGES)):
-        width = (hi - lo) / spec.levels
-        idx = int((v - lo) / width)
-        indices[i] = min(max(idx, 0), spec.levels - 1)
-    return indices
+    return _cells(np.array(p.as_tuple()), _LO, _HI, spec.levels)
 
 
 def dequantize(indices: np.ndarray, spec: QuantizerSpec) -> SemanticPoint:
     """Cell-center reconstruction of quantized coordinates."""
-    indices = np.asarray(indices)
-    if indices.shape != (4,):
-        raise MalformedPacketError(f"expected 4 indices, got shape {indices.shape}")
-    if (indices < 0).any() or (indices >= spec.levels).any():
-        raise MalformedPacketError(f"index out of range for n_b={spec.n_b}")
-    vals = [lo + (int(idx) + 0.5) * (hi - lo) / spec.levels
-            for idx, (lo, hi) in zip(indices, DIMENSION_RANGES)]
-    return SemanticPoint(*vals)
+    centres = _centres(_checked_indices(indices, spec), _LO, _HI, spec.levels)
+    return SemanticPoint(*centres.tolist())
 
 
 def pack(indices: np.ndarray, n_b: int) -> np.ndarray:
     """Bit packet: dimension order (r, h, s, b), each index MSB first."""
-    levels = QuantizerSpec(n_b).levels
-    indices = np.asarray(indices)
-    if indices.shape != (4,):
-        raise MalformedPacketError(f"expected 4 indices, got shape {indices.shape}")
-    if (indices < 0).any() or (indices >= levels).any():
-        raise MalformedPacketError(f"index out of range for n_b={n_b}")
-    shifts = np.arange(n_b - 1, -1, -1)
-    return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
+    spec = QuantizerSpec(n_b)
+    return _to_bits(_checked_indices(indices, spec), spec)
 
 
 def unpack(bits: np.ndarray, n_b: int) -> np.ndarray:
     """Inverse of pack; rejects packets of the wrong length."""
-    QuantizerSpec(n_b)
-    bits = np.asarray(bits)
-    if bits.shape != (4 * n_b,):
-        raise MalformedPacketError(
-            f"packet length {bits.size} != 4*n_b = {4 * n_b}")
-    weights = 1 << np.arange(n_b - 1, -1, -1)
-    return (bits.reshape(4, n_b).astype(np.int64) * weights).sum(axis=1)
+    return _from_bits(bits, 4, QuantizerSpec(n_b))
 
 
 def bpsk_modulate(bits: np.ndarray) -> np.ndarray:

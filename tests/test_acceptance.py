@@ -7,6 +7,7 @@ it passed and that its line equals the one in ``golden/criteria.txt``.
 
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from semcom.errors import SemcomError
 with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "golden", "criteria.txt")) as f:
     GOLDEN_LINES = f.read().splitlines()
+
+#: Worker processes of the Monte Carlo criteria; results do not depend on it.
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 def verdict(report, number, ok, detail):
@@ -30,7 +34,8 @@ def verdict(report, number, ok, detail):
 def semantic_15db():
     """Semantic trials at 15 dB for n_b 8 and 2 in one trial-major run, so
     criteria 4 and 6 fit each scene once."""
-    return harness._run_points(harness.run_trial, [(8, 15.0), (2, 15.0)], 10_000, 0)
+    return harness._run_points(harness.run_trial, [(8, 15.0), (2, 15.0)], 10_000, 0,
+                               workers=WORKERS)
 
 
 def test_criterion_1_rate_reduction(criterion_report):
@@ -96,7 +101,7 @@ def test_criterion_5_distortion_floor(criterion_report):
     """High-SNR distortion equals the noiseless floor within 3 SE, and > 0."""
     # both points in one trial-major run, so each scene is fitted once
     high, clean = harness._run_points(harness.run_trial, [(8, 30.0), (8, None)],
-                                      3_000, 0)
+                                      3_000, 0, workers=WORKERS)
     diff = high.mean_distortion - clean.mean_distortion
     se = math.hypot(high.distortion_se, clean.distortion_se)
     ok = abs(diff) <= 3.0 * se and high.mean_distortion > 0.0
@@ -110,7 +115,7 @@ def test_criterion_6_low_rate_ordering(criterion_report, semantic_15db):
     """At 15 dB and n_b=2 the semantic system beats pixel transmission."""
     semantic = semantic_15db[1]
     traditional = harness.run_trials("traditional", 2, 15.0, 10_000, 0,
-                                     workers=1)
+                                     workers=WORKERS)
     ok = semantic.p_semantic < traditional.p_semantic
     verdict(criterion_report, 6,
             ok, f"nb=2 15dB semantic {semantic.p_semantic:.4f} < "
@@ -215,29 +220,29 @@ def test_criterion_8_property_suites(criterion_report):
             ok, "all property suites hold" if ok else f"failed: {failed}")
 
 
+def _encoder_floor_error(case: tuple[int, int]) -> bool:
+    """Whether the encoder's point for concept ci's scene i decodes wrong."""
+    ci, i = case
+    label = cspace.CONCEPTS[ci].label
+    rng = harness.trial_rng(7_000 + ci, i)
+    img = scenegen.render(scenegen.sample_spec(label, rng), rng)
+    try:
+        point = encoder.encode(img)
+    except SemcomError:  # a degenerate scene; any other error is a bug
+        return True
+    return cspace.decode_concept(point).label != label
+
+
 def test_criterion_9_encoder_floor(criterion_report):
     """Noiseless-channel decoding: >= 99% accuracy; exact shape ratios."""
     concepts = cspace.CONCEPTS
-    errors = 0
-    total = 0
-    per_concept = []
-    for ci, c in enumerate(concepts):
-        wrong = 0
-        for i in range(1_000):
-            rng = harness.trial_rng(7_000 + ci, i)
-            spec = scenegen.sample_spec(c.label, rng)
-            img = scenegen.render(spec, rng)
-            try:
-                point = encoder.encode(img)
-            except SemcomError:  # a degenerate scene; any other error is a bug
-                wrong += 1
-                continue
-            if cspace.decode_concept(point).label != c.label:
-                wrong += 1
-        per_concept.append(f"{c.label} {wrong / 1_000:.1%}")
-        errors += wrong
-        total += 1_000
-    accuracy = 1.0 - errors / total
+    cases = [(ci, i) for ci in range(len(concepts)) for i in range(1_000)]
+    # round scenes cost most, so small chunks keep both workers busy
+    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
+        wrong = list(pool.map(_encoder_floor_error, cases, chunksize=100))
+    per_concept = [f"{c.label} {sum(wrong[ci * 1_000:(ci + 1) * 1_000]) / 1_000:.1%}"
+                   for ci, c in enumerate(concepts)]
+    accuracy = 1.0 - sum(wrong) / len(cases)
 
     # shape-ratio tolerances on noiseless renders
     ideal = {"red-triangle": (1.85, 2.15), "yellow-square": (1.35, 1.48),

@@ -13,7 +13,11 @@ from semcom.errors import DegenerateSceneError, InvalidParameterError
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The max_workers of every process pool harness starts, in order."""
+    """The max_workers of every process pool harness starts, in order.
+
+    os.cpu_count() reads 4, so pool sizes do not depend on the machine.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     sizes = []
 
     class Pool(harness.ProcessPoolExecutor):
@@ -166,16 +170,24 @@ class TestRunTrials:
         harness.run_trials("semantic", 8, None, 1, 5, workers=3)
         assert pool_sizes == [2]  # a single trial runs in this process
 
+    def test_pool_no_larger_than_the_cores(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        agg = harness.run_trials("semantic", 8, None, 4, 5, workers=1000)
+        assert pool_sizes == [2]
+        assert agg == harness.run_trials("semantic", 8, None, 4, 5, workers=1)
+
 
 class TestRunPoints:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("system,trial_fn", [
         ("semantic", harness.run_trial),
         ("traditional", harness.run_traditional_trial)], ids=["semantic", "traditional"])
-    def test_equals_run_trials_point_by_point(self, system, trial_fn, workers):
+    def test_equals_run_trials_point_by_point(self, system, trial_fn, workers,
+                                              pool_sizes):
         # 7 trials over 2 or 3 workers leave uneven chunks
         points = [(2, 5.0), (5, 5.0), (8, 5.0)]
         aggs = harness._run_points(trial_fn, points, 7, 2, workers)
+        assert pool_sizes == ([workers] if workers > 1 else [])
         assert aggs == [harness.run_trials(system, n_b, snr_db, 7, 2)
                         for n_b, snr_db in points]
 

@@ -127,7 +127,8 @@ def test_monte_carlo_link_matches_the_exact_oracle(n_b, snr_db):
 
 
 def test_the_oracle_sees_channel_and_quantizer_errors():
-    """The cases the Monte Carlo test covers have errors to compare."""
+    """The oracle's premise holds, and its cases have errors to compare."""
+    assert len({c.prototype.as_tuple()[2:] for c in cspace.CONCEPTS}) == 1  # one (s, b)
     concept, octagon = POINTS[6]
     assert exact_link(concept, octagon, 1, 0.0)[0] == 1.0  # too coarse to decode right
     assert exact_link(concept, octagon, 8, 0.0)[:2] == (0.0, pytest.approx(
