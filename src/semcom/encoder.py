@@ -10,7 +10,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import ndimage
 
 from .cspace import PROTOTYPE_SPECS, SemanticPoint, polygon_ratio
 from .errors import DegenerateHueError, DegenerateSceneError, DegenerateShapeError
@@ -27,17 +26,61 @@ def segment(s: np.ndarray) -> np.ndarray:
 
     Only the largest 4-connected component is kept; channel noise flips
     roughly one stray background pixel per image above the threshold, and
-    a single stray pixel would wreck the shape fit.
+    a single stray pixel would wreck the shape fit. Of equal-size
+    components, the one whose first pixel comes first in raster order is
+    kept.
     """
-    mask = s > SATURATION_THRESHOLD
-    labels, count = ndimage.label(mask)
-    if count > 1:
-        sizes = ndimage.sum_labels(mask, labels, index=np.arange(1, count + 1))
-        mask = labels == (int(sizes.argmax()) + 1)
+    mask = _largest_component(s > SATURATION_THRESHOLD)
     if int(mask.sum()) < MIN_FOREGROUND_PIXELS:
         raise DegenerateSceneError(
             f"only {int(mask.sum())} foreground pixels, need {MIN_FOREGROUND_PIXELS}")
     return mask
+
+
+def _largest_component(mask: np.ndarray) -> np.ndarray:
+    """The largest 4-connected component of a 2-D mask, found from row runs.
+
+    A run is a maximal stretch of foreground within one row; runs are
+    numbered in raster order. Runs in adjacent rows whose columns overlap
+    are joined by a union-find that keeps a component's lowest run number
+    as its root, so of equal-size components the first root, and so the
+    raster-first component, wins.
+    """
+    h, w = mask.shape
+    width = w + 1
+    # the rows end to end, each followed by a background pixel and the first
+    # preceded by one; a run is the half-open range [start, stop) of flat
+    flat = np.zeros(h * width + 1, dtype=bool)
+    flat[1:].reshape(h, width)[:, :w] = mask
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    starts = edges[::2]
+    stops = edges[1::2]
+    # the runs of the row above that overlap run i are lo[i] <= j < hi[i]
+    lo = np.searchsorted(stops, starts - width, side="right")
+    hi = np.searchsorted(starts, stops - width)
+    touching = np.flatnonzero(hi > lo)
+    parent = list(range(starts.size))
+    components = len(parent)
+    for i, a, b in zip(touching.tolist(), lo[touching].tolist(), hi[touching].tolist()):
+        x = i  # the root of run i: it has joined only runs before it
+        for j in range(a, b):
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]  # path halving
+            if j < x:
+                parent[x] = x = j
+                components -= 1
+            elif j > x:
+                parent[j] = x
+                components -= 1
+    if components <= 1:
+        return mask
+    for i in range(len(parent)):  # a parent precedes its child
+        parent[i] = parent[parent[i]]
+    root = np.array(parent)
+    lengths = stops - starts
+    out = np.zeros_like(mask)
+    out[mask] = np.repeat(root == np.bincount(root, weights=lengths).argmax(), lengths)
+    return out
 
 
 def estimate_color(hsv: tuple, mask: np.ndarray) -> tuple[float, float, float]:
@@ -53,6 +96,8 @@ def estimate_color(hsv: tuple, mask: np.ndarray) -> tuple[float, float, float]:
     if math.hypot(cos_sum, sin_sum) < 1e-9:
         raise DegenerateHueError("foreground hues cancel; circular mean undefined")
     hue = (math.atan2(sin_sum, cos_sum) / (2.0 * math.pi)) % 1.0
+    if hue == 1.0:  # a tiny negative angle rounds up to the excluded end
+        hue = 0.0
     return hue, float(s[mask].mean()), float(v[mask].mean())
 
 

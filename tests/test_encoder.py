@@ -78,6 +78,76 @@ class TestSegment:
             segment(img)
 
 
+def reference_largest_component(mask):
+    """The largest 4-connected component by ndimage: the first of equal sizes."""
+    labels, count = ndimage.label(mask)
+    if count <= 1:
+        return mask
+    sizes = ndimage.sum_labels(mask, labels, index=np.arange(1, count + 1))
+    return labels == int(sizes.argmax()) + 1
+
+
+def saturation_masks():
+    """Thresholded saturation planes of noisy renders of every concept and of
+    the images the pixel system receives from them at 0, 5 and 10 dB."""
+    masks = []
+    for ci, concept in enumerate(harness.CONCEPT_LABELS):
+        for i in range(6):
+            rng = harness.trial_rng(300 + ci, i)
+            img = scenegen.render(scenegen.sample_spec(concept, rng), rng)
+            images = [img]
+            for snr in (0.0, 5.0, 10.0):
+                received = phy.transmit_packet(baseline.pixel_quantize(img, 8),
+                                               phy.ChannelParams(snr, rng))
+                images.append(baseline.pixel_dequantize(received, 8))
+            masks += [scenegen.image_hsv(im)[1] > encoder.SATURATION_THRESHOLD
+                      for im in images]
+    return masks
+
+
+class TestLargestComponent:
+    """The row-run labeller keeps exactly the component ndimage would."""
+
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                             max_side=30)))
+    @example(np.zeros((3, 4), dtype=bool))
+    @example(np.ones((30, 30), dtype=bool))
+    @example(np.indices((30, 30)).sum(axis=0) % 2 == 0)  # 450 one-pixel components
+    def test_equals_ndimage(self, mask):
+        assert np.array_equal(encoder._largest_component(mask),
+                              reference_largest_component(mask))
+
+    @pytest.mark.parametrize("rows", [
+        # equal sizes: the component whose first pixel comes first is kept
+        ["#.#", "#.#"],
+        ["..#", "#.#", "#.."],
+        [".##", "...", "##."],
+        ["#..#", "#..#", "...."],
+        ["...#", "##.#", "...#", "##.."],
+        # a U whose arms meet only below its first row, beside a bigger bar
+        ["#.#.#", "#.#.#", "###.#", "....#", "....#", "....#"],
+        # a component whose raster-first run joins its root only late
+        ["...#.#", "..##.#", ".#...#", "######"],
+    ])
+    def test_ties_and_late_joins(self, rows):
+        mask = np.array([[c == "#" for c in row] for row in rows])
+        assert np.array_equal(encoder._largest_component(mask),
+                              reference_largest_component(mask))
+
+    def test_seeded_renders_and_received_images(self):
+        masks = saturation_masks()
+        assert len(masks) == 4 * 6 * len(harness.CONCEPT_LABELS)
+        for mask in masks:
+            assert np.array_equal(encoder._largest_component(mask),
+                                  reference_largest_component(mask))
+
+    @pytest.mark.parametrize("density", [0.3, 0.55])
+    def test_large_random_mask(self, density):
+        mask = np.random.default_rng(7).random((200, 200)) < density
+        assert np.array_equal(encoder._largest_component(mask),
+                              reference_largest_component(mask))
+
+
 class TestEstimateColor:
     def test_uniform_fill(self):
         img = flat_image(1.0 / 6.0, 1.0, 1.0)
@@ -104,6 +174,16 @@ class TestEstimateColor:
         mask[:, 11] = mask[:, 13] = True
         with pytest.raises(DegenerateHueError):
             estimate_color(img, mask)
+
+    def test_hue_rounding_up_to_one_wraps_to_zero(self):
+        # the circular mean is a tiny negative angle, and % 1.0 rounds it to 1.0
+        img = np.full((25, 25, 3), 0.5)
+        ys, xs = np.nonzero(np.hypot(*np.mgrid[-12:13, -12:13]) <= 8)
+        for k, (y, x) in enumerate(zip(ys, xs)):
+            img[y, x] = colorsys.hsv_to_rgb((0.00025, 0.99975, 0.0)[k % 3], 1.0, 1.0)
+        h, _, _ = estimate_color(img, segment(img))
+        assert h == 0.0
+        assert encoder.encode(img).h == 0.0
 
     def test_noiseless_render_recovers_fill(self, rng):
         spec, img = noiseless_render("yellow-square", rng)
