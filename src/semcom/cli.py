@@ -45,7 +45,7 @@ def _add_batch(parser: argparse.ArgumentParser) -> None:
 
 def _add_link(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nb", type=int, default=8)
-    parser.add_argument("--snr-db", type=_snr_list, default=(0, 5, 10, 15, 20, 25, 30))
+    parser.add_argument("--snr-db", type=_snr_list, default=harness.ExperimentConfig.snr_db_list)
     parser.add_argument("--system", choices=("semantic", "traditional"),
                         default="semantic")
 

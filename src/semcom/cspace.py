@@ -16,6 +16,12 @@ from .errors import InvalidParameterError
 
 DEFAULT_RHO = 50.0
 
+#: The conceptual space: (lo, hi) per dimension, in packet order (r, h, s, b).
+#: A coordinate must lie in its [lo, hi], but hue is circular, so its hi is
+#: excluded. nan and ±inf fail these comparisons too.
+DIMENSION_RANGES = ((1.0, 2.5), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+_DIMENSION_NAMES = ("shape ratio", "hue", "saturation", "brightness")
+
 
 @dataclass(frozen=True)
 class SemanticPoint:
@@ -27,17 +33,10 @@ class SemanticPoint:
     b: float
 
     def __post_init__(self):
-        for v in (self.r, self.h, self.s, self.b):
-            if not math.isfinite(v):
-                raise InvalidParameterError("semantic point coordinates must be finite")
-        if self.r < 1.0:
-            raise InvalidParameterError(f"shape ratio must be >= 1, got {self.r}")
-        if not 0.0 <= self.h < 1.0:
-            raise InvalidParameterError(f"hue must be in [0, 1), got {self.h}")
-        if not 0.0 <= self.s <= 1.0:
-            raise InvalidParameterError(f"saturation must be in [0, 1], got {self.s}")
-        if not 0.0 <= self.b <= 1.0:
-            raise InvalidParameterError(f"brightness must be in [0, 1], got {self.b}")
+        for name, v, (lo, hi) in zip(_DIMENSION_NAMES, self.as_tuple(), DIMENSION_RANGES):
+            if not lo <= v <= hi or (v == hi and name == "hue"):
+                raise InvalidParameterError(
+                    f"{name} must be in [{lo}, {hi}{')' if name == 'hue' else ']'}, got {v}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.r, self.h, self.s, self.b)

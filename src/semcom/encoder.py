@@ -319,7 +319,9 @@ def fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     separate near-circular shapes; fitting whole templates pools the
     evidence of every pixel. Circle-vs-octagon decisions additionally use
     the exact-consistency certificate, since their templates differ by
-    only a few corner pixels at small radii.
+    only a few corner pixels at small radii. When the certificate
+    overturns the template's pick, the tuple keeps the template's
+    circumradius and rotation, except that a circle's rotation is 0.
 
     The fit depends on the mask's content alone, so it is memoized on the
     mask's shape and packed bits: a scene encoded again (the rate search
@@ -396,11 +398,10 @@ def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
         octagon_slack = _consistency_slack(mask, 8)
         # the octagon family matches spuriously more often, so it must win by a
         # clear margin (any positive slack wins where the circle's is <= 0)
-        if circle_slack > 0 or octagon_slack > 0:
-            if octagon_slack > _OCTAGON_SLACK_FACTOR * circle_slack:
-                best = (8, best[1], best[2])
-            else:
-                best = (None, best[1], 0.0)
+        if octagon_slack > max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack):
+            best = (8, best[1], best[2])
+        elif circle_slack > 0:
+            best = (None, best[1], 0.0)
     return best
 
 

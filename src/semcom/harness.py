@@ -57,6 +57,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_batch(self.system, self.n_b, self.trials, self.workers)
+        for snr_db in self.snr_db_list:  # the channel's own check, before any trial
+            if snr_db is not None:
+                phy._linear_snr(snr_db)
 
 
 def _check_batch(system: str, n_b: int, trials: int, workers: int) -> None:
@@ -286,11 +289,8 @@ def emit_csv(rows: list[dict], path: str, header: str,
     if not rows:
         raise InvalidParameterError("refusing to write an output with no rows")
     text = format_rows(rows, header, plot_data)
-    try:
-        with open(path, "w", newline="") as f:
-            f.write(text)
-    except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w", newline="") as f:
+        f.write(text)
     manifest = {"config": config or {}, "version": VERSION}
     with open(path + ".manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cspace import SemanticPoint
+from .cspace import DIMENSION_RANGES, SemanticPoint
 from .errors import InvalidParameterError, MalformedPacketError
 
-#: The conceptual space: (lo, hi) per dimension, in packet order (r, h, s, b).
-DIMENSION_RANGES = ((1.0, 2.5), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
 _LO, _HI = np.array(DIMENSION_RANGES).T
 
 
@@ -94,7 +92,7 @@ def _checked_indices(indices: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
 
 
 def quantize(p: SemanticPoint, spec: QuantizerSpec) -> np.ndarray:
-    """Mid-rise cell indices per dimension, clamped (SemanticPoint keeps hue in [0, 1))."""
+    """Mid-rise cell index per dimension; a coordinate at its range's hi is in the top cell."""
     return _cells(np.array(p.as_tuple()), _LO, _HI, spec.levels)
 
 

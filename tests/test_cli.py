@@ -149,6 +149,16 @@ class TestSweeps:
         assert out.startswith("# snr_db p_syntactic ")
         assert out == path.read_text()
 
+    def test_sweep_snr_refuses_a_bad_snr_before_any_trial(self, monkeypatch, capsys):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "draw_trial", no_trial)
+        code = main(["sweep-snr", "--trials", "5", "--snr-db", "0,nan"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: snr_db=nan") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_sweep_snr_noiseless_point(self, capsys):
         code = main(["sweep-snr", "--trials", "5", "--seed", "1",
                      "--snr-db", "15,none"])

@@ -172,10 +172,23 @@ class TestSemanticPointValidation:
         (1.0, 0.0, 0.5, -0.1),
         (math.inf, 0.0, 0.5, 0.5),
         (1.0, math.nan, 0.5, 0.5),
+        (math.nextafter(2.5, 3.0), 0.0, 0.5, 0.5),  # ratio just past its top
     ])
     def test_rejects_out_of_range(self, coords):
         with pytest.raises(InvalidParameterError):
             cspace.SemanticPoint(*coords)
+
+    @pytest.mark.parametrize("dim", range(4))
+    def test_range_ends_accepted_but_hue_top(self, dim):
+        middle = [(lo + hi) / 2 for lo, hi in cspace.DIMENSION_RANGES]
+        lo, hi = cspace.DIMENSION_RANGES[dim]
+        for v in (lo, hi):
+            coords = middle[:dim] + [v] + middle[dim + 1:]
+            if dim == 1 and v == hi:
+                with pytest.raises(InvalidParameterError, match=r"hue must be in \[0.0, 1.0\)"):
+                    cspace.SemanticPoint(*coords)
+            else:
+                assert cspace.SemanticPoint(*coords).as_tuple()[dim] == v
 
     def test_as_tuple_roundtrip(self):
         p = point(1.3, 0.25, 0.9, 0.8)

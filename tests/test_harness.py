@@ -150,6 +150,8 @@ class TestRunTrials:
         for workers in (0, -3):
             with pytest.raises(InvalidParameterError):
                 harness.ExperimentConfig(workers=workers)
+        with pytest.raises(InvalidParameterError, match="no positive finite linear SNR"):
+            harness.ExperimentConfig(snr_db_list=(0.0, None, math.nan))
 
     @pytest.mark.parametrize("system,n_b,trials", [
         ("quantum", 8, 2), ("semantic", 8, 0), ("traditional", 8, 0),

@@ -183,3 +183,4 @@ class TestDimensionRanges:
     def test_normative_ranges(self):
         assert phy.DIMENSION_RANGES == (
             (1.0, 2.5), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+        assert phy.DIMENSION_RANGES is cspace.DIMENSION_RANGES  # one definition
