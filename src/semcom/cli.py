@@ -98,7 +98,7 @@ def cmd_sweep_rate(args) -> int:
 
 def cmd_render_dataset(args) -> int:
     rng = np.random.default_rng(args.seed)
-    labels = scenegen.dump_dataset(args.out or "dataset", args.per_concept, rng)
+    labels = scenegen.dump_dataset(args.out, args.per_concept, rng)
     print(f"wrote {labels}")
     return 0
 

@@ -44,9 +44,10 @@ class SemanticPoint:
 
 @dataclass(frozen=True)
 class Concept:
-    """A labeled concept represented by its prototype point."""
+    """A labeled concept: its polygon's sides (None for a circle) and prototype point."""
 
     label: str
+    n_sides: int | None
     prototype: SemanticPoint
 
 
@@ -124,20 +125,14 @@ def distortion_bound_holds(p_star: SemanticPoint, p: SemanticPoint,
 _PROTO_S = 1.0
 _PROTO_B = 0.9714
 
-#: (label, polygon sides or None for a circle, hue) of each concept.
-PROTOTYPE_SPECS = (
-    ("yellow-square", 4, 1.0 / 6.0),
-    ("red-triangle", 3, 0.0),
-    ("red-octagon", 8, 0.0),
-    ("red-circle", None, 0.0),
-    ("blue-circle", None, 2.0 / 3.0),
-)
-
-
-#: The five-concept table, built once, in ascending label order.
+#: The five-concept table from (label, sides, hue) rows, in ascending label order.
 CONCEPTS = tuple(sorted(
-    (Concept(label, SemanticPoint(polygon_ratio(n), hue, _PROTO_S, _PROTO_B))
-     for label, n, hue in PROTOTYPE_SPECS),
+    (Concept(label, n, SemanticPoint(polygon_ratio(n), hue, _PROTO_S, _PROTO_B))
+     for label, n, hue in (("yellow-square", 4, 1.0 / 6.0),
+                           ("red-triangle", 3, 0.0),
+                           ("red-octagon", 8, 0.0),
+                           ("red-circle", None, 0.0),
+                           ("blue-circle", None, 2.0 / 3.0))),
     key=lambda c: c.label))
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .cspace import PROTOTYPE_SPECS, SemanticPoint, polygon_ratio
+from .cspace import CONCEPTS, SemanticPoint, polygon_ratio
 from .errors import DegenerateHueError, DegenerateSceneError, DegenerateShapeError
 from .scenegen import image_hsv, pixel_grid
 
@@ -111,7 +111,7 @@ def boundary_mask(mask: np.ndarray) -> np.ndarray:
 
 #: Candidate shapes the radial model is fitted against: the concept table's
 #: polygons by side count, then the circle (None); the order settles ties.
-CANDIDATE_SHAPES = (*sorted({n for _, n, _ in PROTOTYPE_SPECS if n is not None}), None)
+CANDIDATE_SHAPES = (*sorted({c.n_sides for c in CONCEPTS} - {None}), None)
 
 #: Tie-break factor when both circle and octagon can reproduce a mask
 #: exactly; calibrated on noiseless renders of both shapes.

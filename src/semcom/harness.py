@@ -144,7 +144,6 @@ class Aggregate:
     degenerate: int = 0
     distortion_sum: float = 0.0
     distortion_sq_sum: float = 0.0
-    distortion_count: int = 0
 
     def add_outcome(self, syntactic: bool, semantic: bool, degenerate: bool,
                     distortion: float) -> None:
@@ -152,10 +151,9 @@ class Aggregate:
         self.syntactic_errors += syntactic
         self.semantic_errors += semantic
         self.degenerate += degenerate
-        if not math.isnan(distortion):
+        if not degenerate:
             self.distortion_sum += distortion
             self.distortion_sq_sum += distortion ** 2
-            self.distortion_count += 1
 
     @property
     def p_syntactic(self) -> float:
@@ -171,12 +169,12 @@ class Aggregate:
     @property
     def mean_distortion(self) -> float:
         """Mean over non-degenerate trials; nan when every trial was degenerate."""
-        n = self.distortion_count
+        n = self.trials - self.degenerate
         return self.distortion_sum / n if n else math.nan
 
     @property
     def distortion_se(self) -> float:
-        n = self.distortion_count
+        n = self.trials - self.degenerate
         if not n:
             return math.nan
         var = max(self.distortion_sq_sum / n - self.mean_distortion ** 2, 0.0)
@@ -199,8 +197,9 @@ def _run_points(trial_fn, points, trials: int, base_seed: int,
     """One Aggregate per (n_b, snr_db) point, over the same trials.
 
     Trial-major, so a scene's later points find its fit in encoder's memo.
-    Workers take contiguous runs of trial indices, so every point sums its
-    outcomes in trial-index order whatever the worker count.
+    Rows come back in input order from map and pool.map alike, so every
+    point sums its outcomes in trial-index order whatever the worker count;
+    one contiguous chunk per worker only cuts inter-process round trips.
     """
     run = functools.partial(_trial_outcomes, trial_fn, points, base_seed)
     workers = min(workers, trials, os.cpu_count() or 1)  # more would not run faster

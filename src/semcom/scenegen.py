@@ -22,9 +22,6 @@ from .errors import InvalidParameterError
 
 IMAGE_SIZE = 25
 
-#: Number of polygon sides per concept; None means circle.
-CONCEPT_SHAPES = {label: n for label, n, _ in cspace.PROTOTYPE_SPECS}
-
 HUE_JITTER = 0.03
 SAT_RANGE = (0.9, 1.0)
 VAL_RANGE = (0.93, 1.0)
@@ -38,7 +35,6 @@ BACKGROUND_VALUE = 0.5
 class SceneSpec:
     """Everything needed to render one scene deterministically."""
 
-    concept: str
     fill_hsv: tuple[float, float, float]
     n_sides: int | None
     circumradius: float
@@ -48,8 +44,8 @@ class SceneSpec:
 
 def sample_spec(concept: str, rng: np.random.Generator) -> SceneSpec:
     """Draw a jittered scene for a concept label (InvalidParameterError if unknown)."""
-    proto_hue = cspace.concept_by_label(concept).prototype.h
-    hue = (proto_hue + rng.uniform(-HUE_JITTER, HUE_JITTER)) % 1.0
+    c = cspace.concept_by_label(concept)
+    hue = (c.prototype.h + rng.uniform(-HUE_JITTER, HUE_JITTER)) % 1.0
     sat = rng.uniform(*SAT_RANGE)
     val = rng.uniform(*VAL_RANGE)
     rotation = rng.uniform(0.0, 2.0 * math.pi)
@@ -57,8 +53,7 @@ def sample_spec(concept: str, rng: np.random.Generator) -> SceneSpec:
     mid = (IMAGE_SIZE - 1) / 2.0
     center = (mid + rng.uniform(-CENTER_JITTER, CENTER_JITTER),
               mid + rng.uniform(-CENTER_JITTER, CENTER_JITTER))
-    return SceneSpec(concept, (hue, sat, val), CONCEPT_SHAPES[concept],
-                     radius, rotation, center)
+    return SceneSpec((hue, sat, val), c.n_sides, radius, rotation, center)
 
 
 def _shape_mask(xs: np.ndarray, ys: np.ndarray, spec: SceneSpec) -> np.ndarray:
@@ -188,7 +183,7 @@ def dump_dataset(out_dir: str, per_concept: int, rng: np.random.Generator) -> st
     with open(labels_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["filename", "label"])
-        for label in sorted(CONCEPT_SHAPES):
+        for label in (c.label for c in cspace.CONCEPTS):
             for i in range(per_concept):
                 spec = sample_spec(label, rng)
                 name = f"{label}_{i:04d}.ppm"

@@ -74,7 +74,7 @@ class TestClassifyReceived:
     """The receiver's decode step both trial functions share, on images."""
 
     def test_clean_scene_classified(self, rng):
-        for concept in scenegen.CONCEPT_SHAPES:
+        for concept in harness.CONCEPT_LABELS:
             spec = scenegen.sample_spec(concept, rng)
             img = scenegen.render(spec, rng)
             rec = harness._decode(concept, None, None, None, harness._encode(img))

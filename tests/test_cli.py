@@ -253,6 +253,15 @@ class TestRenderDataset:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_empty_out_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["render-dataset", "--per-concept", "1", "--out", ""])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not list(tmp_path.iterdir())  # not ./dataset/ either
+
 
 class TestFuncomp:
     def test_classes_mod2(self, tmp_path, capsys):

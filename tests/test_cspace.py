@@ -133,8 +133,8 @@ class TestDecodeConcept:
         # CONCEPTS is in label order and min keeps the first minimum
         labels = [c.label for c in cspace.CONCEPTS]
         assert labels == sorted(labels)
-        a = cspace.Concept("alpha", point(1.0, 0.0, 0.0, 0.0))
-        z = cspace.Concept("zeta", point(1.0, 0.0, 0.0, 0.0))
+        a = cspace.Concept("alpha", None, point(1.0, 0.0, 0.0, 0.0))
+        z = cspace.Concept("zeta", None, point(1.0, 0.0, 0.0, 0.0))
         monkeypatch.setattr(cspace, "CONCEPTS", (a, z))
         assert cspace.decode_concept(point(1.2, 0.0, 0.0, 0.0)).label == "alpha"
 

@@ -43,7 +43,7 @@ any_image = st.one_of(
     st.builds(lambda seed: np.random.default_rng(seed).uniform(0.0, 1.0, (25, 25, 3)),
               st.integers(0, 2 ** 32 - 1)),
     st.builds(noisy_scene, st.integers(0, 2 ** 32 - 1),
-              st.sampled_from(sorted(scenegen.CONCEPT_SHAPES)), st.floats(0.0, 0.6)),
+              st.sampled_from(harness.CONCEPT_LABELS), st.floats(0.0, 0.6)),
 )
 
 
@@ -216,8 +216,7 @@ class TestBoundaryMask:
 
 class TestShapeRatio:
     def test_circle_radius_ten(self):
-        spec = scenegen.SceneSpec("red-circle", (0.0, 1.0, 1.0), None, 10.0,
-                                  0.0, (12.0, 12.0))
+        spec = scenegen.SceneSpec((0.0, 1.0, 1.0), None, 10.0, 0.0, (12.0, 12.0))
         mask = segment(scenegen.render(spec))
         assert 1.0 <= encoder.estimate_shape_ratio(mask) <= 1.06
 
@@ -237,7 +236,7 @@ class TestShapeRatio:
         assert r == pytest.approx(1.0824, abs=0.01)
 
     def test_ratio_at_least_one(self, rng):
-        for concept in scenegen.CONCEPT_SHAPES:
+        for concept in harness.CONCEPT_LABELS:
             _, img = noiseless_render(concept, rng)
             assert encoder.estimate_shape_ratio(segment(img)) >= 1.0
 
@@ -245,8 +244,7 @@ class TestShapeRatio:
         for n, ideal in ((3, 2.0), (4, math.sqrt(2.0)), (8, 1.0824)):
             for k in range(16):
                 rot = k * 2.0 * math.pi / n / 16
-                spec = scenegen.SceneSpec("x", (0.0, 1.0, 1.0), n, 9.0, rot,
-                                          (12.0, 12.0))
+                spec = scenegen.SceneSpec((0.0, 1.0, 1.0), n, 9.0, rot, (12.0, 12.0))
                 mask = segment(scenegen.render(spec))
                 r = encoder.estimate_shape_ratio(mask)
                 assert abs(r - ideal) <= 0.1, (n, k, r)
@@ -275,8 +273,7 @@ class TestEncode:
 
     def test_yellow_square_near_prototype(self):
         mid = 12.0
-        spec = scenegen.SceneSpec("yellow-square", (1.0 / 6.0, 1.0, 0.9714),
-                                  4, 9.0, 0.0, (mid, mid))
+        spec = scenegen.SceneSpec((1.0 / 6.0, 1.0, 0.9714), 4, 9.0, 0.0, (mid, mid))
         point = encoder.encode(scenegen.render(spec))
         proto = cspace.SemanticPoint(math.sqrt(2.0), 1.0 / 6.0, 1.0, 0.9714)
         assert cspace.semantic_metric(point, proto) < 0.05
@@ -520,8 +517,7 @@ def structured_masks():
                 for radius in (6.0, 8.0, 9.0, 10.0, 11.0):
                     n = encoder.CANDIDATE_SHAPES[len(masks) % len(encoder.CANDIDATE_SHAPES)]
                     rotation = 0.0 if n is None else (k + quarter) * 2.0 * math.pi / n / 16
-                    spec = scenegen.SceneSpec("x", (0.0, 1.0, 1.0), n, radius, rotation,
-                                              center)
+                    spec = scenegen.SceneSpec((0.0, 1.0, 1.0), n, radius, rotation, center)
                     masks.append(segment(scenegen.render(spec)))
     return masks
 

@@ -113,8 +113,9 @@ class TestAggregate:
         assert agg.p_syntactic == pytest.approx(1.0 / 3.0)
         assert agg.p_semantic == pytest.approx(1.0 / 3.0)
         assert agg.degenerate == 1
-        assert agg.distortion_count == 2
+        assert agg.trials - agg.degenerate == 2
         assert agg.mean_distortion == pytest.approx(0.3)
+        assert agg.distortion_se == pytest.approx(0.2 / math.sqrt(2))
 
     def test_proportion_se(self):
         agg = harness.Aggregate(trials=400)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semcom import scenegen
+from semcom import cspace, encoder, harness, scenegen
 from semcom.errors import InvalidParameterError
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -24,7 +24,7 @@ class TestHsvRgb:
     ])
     def test_known_colors(self, hsv, rgb):
         # render fills the shape with the spec's HSV colour as RGB
-        spec = scenegen.SceneSpec("red-circle", hsv, None, 6.0, 0.0, (12.0, 12.0))
+        spec = scenegen.SceneSpec(hsv, None, 6.0, 0.0, (12.0, 12.0))
         assert tuple(scenegen.render(spec)[12, 12]) == pytest.approx(rgb)
         h, s, v = scenegen.image_hsv(np.asarray([rgb]))
         assert (h[0], s[0], v[0]) == pytest.approx(hsv)
@@ -66,10 +66,14 @@ class TestSampleSpec:
             assert abs(spec.center[1] - mid) <= scenegen.CENTER_JITTER
             assert spec.n_sides == 4
 
-    def test_shape_map(self):
-        assert scenegen.CONCEPT_SHAPES == {
+    def test_shape_map(self, rng):
+        assert {c.label: c.n_sides for c in cspace.CONCEPTS} == {
             "yellow-square": 4, "red-triangle": 3, "red-octagon": 8,
             "red-circle": None, "blue-circle": None}
+        assert encoder.CANDIDATE_SHAPES == (3, 4, 8, None)
+        for label in harness.CONCEPT_LABELS:
+            assert (scenegen.sample_spec(label, rng).n_sides
+                    == cspace.concept_by_label(label).n_sides)
 
 
 class TestRender:
@@ -94,8 +98,7 @@ class TestRender:
         # rotation pi/4 puts the edge normals on the axes: a plain square of
         # apothem 8*cos(pi/4) ~ 5.657 covering an 11x11 pixel block
         mid = 12.0
-        spec = scenegen.SceneSpec("yellow-square", (1 / 6, 1.0, 1.0), 4, 8.0,
-                                  math.pi / 4.0, (mid, mid))
+        spec = scenegen.SceneSpec((1 / 6, 1.0, 1.0), 4, 8.0, math.pi / 4.0, (mid, mid))
         img = scenegen.render(spec)
         fg = (np.abs(img - 0.5).max(axis=2) > 1e-9).sum()
         assert fg == 11 * 11
@@ -127,18 +130,14 @@ class TestRender:
 
 class TestRotationGeometry:
     def test_polygon_rotation_moves_vertices(self):
-        spec = scenegen.SceneSpec("red-triangle", (0.0, 1.0, 1.0), 3, 9.0,
-                                  0.0, (12.0, 12.0))
-        rotated = scenegen.SceneSpec("red-triangle", (0.0, 1.0, 1.0), 3, 9.0,
-                                     math.pi / 3.0, (12.0, 12.0))
+        spec = scenegen.SceneSpec((0.0, 1.0, 1.0), 3, 9.0, 0.0, (12.0, 12.0))
+        rotated = scenegen.SceneSpec((0.0, 1.0, 1.0), 3, 9.0, math.pi / 3.0, (12.0, 12.0))
         assert not np.array_equal(scenegen.render(spec), scenegen.render(rotated))
 
     def test_full_turn_is_identity(self):
         for n, turn in ((3, 2 * math.pi / 3), (4, math.pi / 2), (8, math.pi / 4)):
-            spec = scenegen.SceneSpec("x", (0.0, 1.0, 1.0), n, 9.0, 0.3,
-                                      (12.0, 12.0))
-            shifted = scenegen.SceneSpec("x", (0.0, 1.0, 1.0), n, 9.0,
-                                         0.3 + turn, (12.0, 12.0))
+            spec = scenegen.SceneSpec((0.0, 1.0, 1.0), n, 9.0, 0.3, (12.0, 12.0))
+            shifted = scenegen.SceneSpec((0.0, 1.0, 1.0), n, 9.0, 0.3 + turn, (12.0, 12.0))
             assert np.array_equal(scenegen.render(spec), scenegen.render(shifted))
 
 
@@ -203,7 +202,7 @@ class TestDumpDataset:
             lines = f.read().strip().split("\n")
         assert lines[0] == "filename,label"
         assert len(lines) == 1 + 2 * 5
-        for line in lines[1:]:
+        for line, want in zip(lines[1:], np.repeat(harness.CONCEPT_LABELS, 2)):
             name, label = line.split(",")
             assert os.path.exists(os.path.join(out, name))
-            assert label in scenegen.CONCEPT_SHAPES
+            assert label == want
