@@ -217,7 +217,70 @@ def _polygon_slacks(bx: np.ndarray, by: np.ndarray, fx: np.ndarray,
     return slacks
 
 
-def _consistency_slack(mask: np.ndarray, n: int | None) -> float:
+def _certificate_band(mask: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """The centroid (cx0, cy0) and the band the consistency certificate compares.
+
+    The band is a flat boolean over pixel_grid: every pixel whose distance
+    from the centroid is within 3.2 of the farthest foreground pixel's.
+    """
+    ys, xs = np.nonzero(mask)
+    cy0 = ys.mean()
+    cx0 = xs.mean()
+    gx, gy = pixel_grid(mask.shape)
+    dist0 = np.hypot(gx - cx0, gy - cy0)
+    rmax = dist0[mask.ravel()].max()
+    return cx0, cy0, (dist0 >= rmax - 3.2) & (dist0 <= rmax + 3.2)
+
+
+def _convexity_witness(mask: np.ndarray) -> bool:
+    """Whether a background band pixel lies strictly inside the convex hull
+    of the band's foreground pixels.
+
+    If one does, no circle and no octagon reproduces the band at any center
+    or rotation, so both slacks are negative. For both families u is a
+    convex function of the pixel (|p - c|, and max_k <p - c, n_k>) that
+    grows along every ray from c, so at a point q strictly inside the hull
+    it is below its maximum over the foreground: min(u over background)
+    <= u(q) < max(u over foreground). A pixel strictly inside lies at least
+    1/L from a hull edge of length L, far beyond the float error of u.
+
+    The hull is that of each row's outermost foreground pixels, in (row,
+    column) coordinates: the lower chain runs down the rows' first pixels,
+    the upper back up their last. All arithmetic is on integers, so
+    "strictly inside" is exact.
+    """
+    _, _, band = _certificate_band(mask)
+    flat = mask.ravel()
+    w = mask.shape[1]
+    fg = np.flatnonzero(band & flat)  # in raster order
+    by, bx = np.divmod(np.flatnonzero(band & ~flat), w)
+    cut = np.flatnonzero(np.diff(fg // w)) + 1  # where each later row starts
+    ys, xs = np.divmod(np.concatenate([fg[:1], fg[cut], fg[cut - 1], fg[-1:]]), w)
+    ends = list(zip(ys.tolist(), xs.tolist()))
+    first, last = ends[:cut.size + 1], ends[cut.size + 1:]
+    hull = _chain(first + last[-1:])[:-1] + _chain(last[::-1] + first[:1])[:-1]
+    if len(hull) < 3:
+        return False
+    hull = np.array(hull + hull[:1])
+    a = hull[:-1, :, None]
+    e = hull[1:, :, None] - a
+    return bool((e[:, 0] * (bx - a[:, 1]) > e[:, 1] * (by - a[:, 0])).all(axis=0).any())
+
+
+def _chain(points: list) -> list:
+    """Monotone-chain half hull of (row, column) points in scan order: it
+    keeps only strict turns one way, so collinear and repeated points drop out."""
+    chain: list = []
+    for y, x in points:
+        while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (x - chain[-2][1])
+                                   <= (chain[-1][1] - chain[-2][1]) * (y - chain[-2][0])):
+            chain.pop()
+        chain.append((y, x))
+    return chain
+
+
+def _consistency_slack(mask: np.ndarray, n: int | None, *,
+                       beat: float = math.inf) -> float:
     """Largest margin by which some shape of the family reproduces the mask.
 
     For a candidate center (and rotation), every pixel reduces to a scalar
@@ -251,15 +314,16 @@ def _consistency_slack(mask: np.ndarray, n: int | None) -> float:
     form of u, so no skipped pair can tie a computed extreme: every slack
     that can be accepted, and so every step of the search and the result,
     is bit-identical to the exhaustive search.
+
+    Given ``beat``, the search stops at the first slack it evaluates above
+    it (the middle point's, the grid's maximum, or a hill-climb step) and
+    returns that slack: the search's best only ever rises, so its result
+    would exceed ``beat`` too. Below ``beat`` it takes the same path and
+    returns the same float.
     """
-    ys, xs = np.nonzero(mask)
-    cy0 = ys.mean()
-    cx0 = xs.mean()
+    cx0, cy0, band = _certificate_band(mask)
     gx, gy = pixel_grid(mask.shape)
     flat = mask.ravel()
-    dist0 = np.hypot(gx - cx0, gy - cy0)
-    rmax = dist0[flat].max()
-    band = (dist0 >= rmax - 3.2) & (dist0 <= rmax + 3.2)
     px = gx[band]
     py = gy[band]
     fg = flat[band]
@@ -283,10 +347,14 @@ def _consistency_slack(mask: np.ndarray, n: int | None) -> float:
     # the grid's maximum is at least the middle point's slack, so the whole
     # grid may skip what cannot reach it and still find the same first maximum
     middle = grid_x.size // 2
-    floor = slacks(grid_x[middle:middle + 1], grid_y[middle:middle + 1], -np.inf)[0]
+    floor = float(slacks(grid_x[middle:middle + 1], grid_y[middle:middle + 1], -np.inf)[0])
+    if floor > beat:
+        return floor
     grid = slacks(grid_x, grid_y, floor)
     i = int(grid.argmax())  # finite: at least the middle point's slack
     best, cx, cy = float(grid[i]), grid_x[i], grid_y[i]
+    if best > beat:
+        return best
     for step in (0.15, 0.075, 0.0375):
         moves = np.array(_HILL_MOVES, dtype=float) * step
         k = 0
@@ -297,6 +365,8 @@ def _consistency_slack(mask: np.ndarray, n: int | None) -> float:
                                          best).tolist(), k):
                 if s > best:
                     best = s
+                    if best > beat:
+                        return best
                     cx, cy = cx + moves[j, 0], cy + moves[j, 1]
                     k = j + 1
                     break
@@ -321,7 +391,10 @@ def fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     the exact-consistency certificate, since their templates differ by
     only a few corner pixels at small radii. When the certificate
     overturns the template's pick, the tuple keeps the template's
-    circumradius and rotation, except that a circle's rotation is 0.
+    circumradius and rotation, except that a circle's rotation is 0. The
+    octagon's search runs only as far as the decision needs, and not at
+    all when a background pixel inside the foreground's convex hull shows
+    that neither family reproduces the mask.
 
     The fit depends on the mask's content alone, so it is memoized on the
     mask's shape and packed bits: a scene encoded again (the rate search
@@ -395,10 +468,13 @@ def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
 
     if best[0] in (None, 8):
         circle_slack = _consistency_slack(mask, None)
-        octagon_slack = _consistency_slack(mask, 8)
+        if circle_slack <= 0 and _convexity_witness(mask):
+            return best  # both slacks are negative: the template's pick stands
         # the octagon family matches spuriously more often, so it must win by a
-        # clear margin (any positive slack wins where the circle's is <= 0)
-        if octagon_slack > max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack):
+        # clear margin (any positive slack wins where the circle's is <= 0);
+        # the search need only tell whether its slack beats that margin
+        beat = max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack)
+        if _consistency_slack(mask, 8, beat=beat) > beat:
             best = (8, best[1], best[2])
         elif circle_slack > 0:
             best = (None, best[1], 0.0)

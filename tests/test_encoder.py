@@ -296,17 +296,23 @@ class TestEncode:
         assert floor == pytest.approx(0.00097, abs=0.0004)
 
 
-def reference_consistency_slack(mask, n, rot_seed=0.0):
-    """The exhaustive search: every band pixel at every center and rotation."""
+def reference_band(mask):
+    """The centroid, every pixel's coordinates, and the certificate's band:
+    the pixels within 3.2 of the farthest foreground pixel's distance."""
     ys, xs = np.nonzero(mask)
     cy0 = ys.mean()
     cx0 = xs.mean()
     gx, gy = (g.ravel() for g in np.meshgrid(np.arange(mask.shape[1], dtype=float),
                                              np.arange(mask.shape[0], dtype=float)))
-    flat = mask.ravel()
     dist0 = np.hypot(gx - cx0, gy - cy0)
-    rmax = dist0[flat].max()
-    band = (dist0 >= rmax - 3.2) & (dist0 <= rmax + 3.2)
+    rmax = dist0[mask.ravel()].max()
+    return cx0, cy0, gx, gy, (dist0 >= rmax - 3.2) & (dist0 <= rmax + 3.2)
+
+
+def reference_consistency_slack(mask, n, rot_seed=0.0):
+    """The exhaustive search: every band pixel at every center and rotation."""
+    cx0, cy0, gx, gy, band = reference_band(mask)
+    flat = mask.ravel()
     px = gx[band]
     py = gy[band]
     fg = flat[band]
@@ -348,24 +354,34 @@ def reference_consistency_slack(mask, n, rot_seed=0.0):
     return best
 
 
-def seeded_masks():
-    """Masks of every concept: noiseless and noisy renders, and images
-    received by the pixel system at 0, 10 and 20 dB."""
-    masks = []
+def seeded_images():
+    """(kind, image) pairs of every concept: its noiseless and noisy render,
+    then what the pixel system receives of the noisy one at 0, 10 or 20 dB
+    with n_b = 8, and at 10, 15 or 20 dB with n_b = 2 (criterion 6 runs
+    n_b = 2 at 15 dB)."""
     for ci, concept in enumerate(harness.CONCEPT_LABELS):
         for i in range(4):
             rng = harness.trial_rng(900 + ci, i)
             spec = scenegen.sample_spec(concept, rng)
-            images = [scenegen.render(spec), scenegen.render(spec, rng)]
-            snr = (0.0, 10.0, 20.0)[(ci + i) % 3]
-            bits = baseline.pixel_quantize(images[1], 8)
-            received = phy.transmit_packet(bits, phy.ChannelParams(snr, rng))
-            images.append(baseline.pixel_dequantize(received, 8))
-            for img in images:
-                try:
-                    masks.append(segment(img))
-                except SemcomError:
-                    pass
+            noisy = scenegen.render(spec, rng)
+            yield "render", scenegen.render(spec)
+            yield "render", noisy
+            for n_b, snrs in ((8, (0.0, 10.0, 20.0)), (2, (10.0, 15.0, 20.0))):
+                bits = baseline.pixel_quantize(noisy, n_b)
+                snr = snrs[(ci + i) % 3]
+                received = phy.transmit_packet(bits, phy.ChannelParams(snr, rng))
+                yield "received", baseline.pixel_dequantize(received, n_b)
+
+
+def seeded_masks(kinds=("render", "received")):
+    """The masks of those seeded images of the given kinds that segment."""
+    masks = []
+    for kind, img in seeded_images():
+        if kind in kinds:
+            try:
+                masks.append(segment(img))
+            except SemcomError:
+                pass
     return masks
 
 
@@ -392,10 +408,26 @@ class TestConsistencySlack:
         assert encoder._consistency_slack(mask, n) == -np.inf
         assert reference_consistency_slack(mask, n) == -np.inf
 
+    @pytest.mark.parametrize("n", [None, 8])
+    def test_threshold_exit(self, masks, n):
+        # beat -inf exits at the middle point; 2.5 * c is fit_shape's margin
+        for mask in masks:
+            full = encoder._consistency_slack(mask, n)
+            circle = encoder._consistency_slack(mask, None)
+            for beat in (-math.inf, 0.0, 0.1, 0.25,
+                         encoder._OCTAGON_SLACK_FACTOR * circle):
+                got = encoder._consistency_slack(mask, n, beat=beat)
+                assert (got > beat) == (full > beat), (beat, got, full)
+                if full <= beat:
+                    assert got == full
+
     def test_fit_shape_unchanged(self, masks, monkeypatch):
         fitted = [encoder.fit_shape(mask) for mask in masks]
+        # the full search, whatever the margin: a beat passed by position
+        # would land in rot_seed
         monkeypatch.setattr(encoder, "_consistency_slack",
-                            reference_consistency_slack)
+                            lambda mask, n, *, beat=math.inf:
+                            reference_consistency_slack(mask, n))
         # the memoized front would return the fits above; refit without it
         assert fitted == [encoder._fit_shape(mask) for mask in masks]
 
@@ -421,8 +453,11 @@ class TestRoundCertificateRule:
     """fit_shape's circle-vs-octagon rule agrees with the four-branch rule."""
 
     def test_every_slack_pair(self, masks, monkeypatch):
-        # with no certificate the template's pick stands
-        monkeypatch.setattr(encoder, "_consistency_slack", lambda mask, n: -math.inf)
+        # with no certificate the template's pick stands; with the witness off
+        # every slack pair reaches the rule, and the rule gets whole slacks
+        monkeypatch.setattr(encoder, "_convexity_witness", lambda mask: False)
+        monkeypatch.setattr(encoder, "_consistency_slack",
+                            lambda mask, n, *, beat=math.inf: -math.inf)
         templates = {}
         for mask in masks:
             fit = encoder._fit_shape(mask)
@@ -436,12 +471,100 @@ class TestRoundCertificateRule:
             for c in SLACKS:
                 for o in SLACKS:
                     monkeypatch.setattr(encoder, "_consistency_slack",
-                                        lambda mask, k, c=c, o=o: c if k is None else o)
+                                        lambda mask, k, *, beat=math.inf, c=c, o=o:
+                                        c if k is None else o)
                     assert (encoder._fit_shape(mask)
                             == reference_round_pick(template, c, o)), (n, c, o)
             monkeypatch.setattr(encoder, "_consistency_slack",
-                                lambda mask, k: 0.1 if k is None else 0.25)
+                                lambda mask, k, *, beat=math.inf: 0.1 if k is None else 0.25)
             assert encoder._fit_shape(mask)[0] is None
+
+    def test_witness_keeps_the_template(self, masks, monkeypatch):
+        # a witness proves both slacks negative, so it is asked only where the
+        # circle's is not positive, and then the template's pick stands
+        monkeypatch.setattr(encoder, "_convexity_witness", lambda mask: True)
+        mask = next(m for m in masks if encoder._fit_shape(m)[0] == 8)
+        monkeypatch.setattr(encoder, "_consistency_slack",
+                            lambda mask, n, *, beat=math.inf: -math.inf)
+        template = encoder._fit_shape(mask)
+        for c in SLACKS:
+            for o in SLACKS:
+                if c <= 0 < o:
+                    continue  # no witness exists for such a mask
+                monkeypatch.setattr(encoder, "_consistency_slack",
+                                    lambda mask, k, *, beat=math.inf, c=c, o=o:
+                                    c if k is None else o)
+                assert (encoder._fit_shape(mask)
+                        == reference_round_pick(template, c, o)), (c, o)
+
+
+def reference_witness(mask):
+    """Whether a background band pixel lies strictly inside the convex hull
+    of the band's foreground, by brute force in integers: strictly on the
+    inner side of every line through two foreground pixels that has the
+    whole foreground on that side or on it. The rows' outermost foreground
+    pixels span the same hull, so only they are paired."""
+    _, _, _, _, band = reference_band(mask)
+    band = band.reshape(mask.shape)
+    fg = band & mask
+    rows = np.flatnonzero(fg.any(axis=1))
+    cols = fg[rows].argmax(axis=1), mask.shape[1] - 1 - fg[rows, ::-1].argmax(axis=1)
+    pts = np.unique(np.concatenate([np.stack([rows, c], axis=1) for c in cols]), axis=0)
+    if len(pts) < 3:
+        return False
+    a = pts[:, None, None, :]
+    e = pts[None, :, None, :] - a  # (a, b) pairs
+
+    def cross(q):
+        return e[..., 0] * (q[..., 1] - a[..., 1]) - e[..., 1] * (q[..., 0] - a[..., 0])
+
+    supporting = (cross(pts[None, None]) >= 0).all(axis=2) & (e != 0).any(axis=3)[..., 0]
+    background = np.argwhere(band & ~mask)
+    inside = cross(background[None, None])[supporting] > 0
+    return bool(inside.all(axis=0).any())
+
+
+def flipped_shape_mask(seed, concept, flip):
+    """A scene's shape mask with each pixel flipped with probability flip."""
+    rng = np.random.default_rng(seed)
+    xs, ys = np.meshgrid(np.arange(25, dtype=float), np.arange(25, dtype=float))
+    mask = scenegen._shape_mask(xs, ys, scenegen.sample_spec(concept, rng))
+    return mask ^ (rng.random(mask.shape) < flip)
+
+
+#: Masks with enough foreground to segment: arbitrary arrays, uniform
+#: noise, and shapes of every concept with pixels flipped as by a channel.
+any_mask = st.one_of(
+    hnp.arrays(bool, (25, 25)),
+    st.builds(lambda seed, p: np.random.default_rng(seed).random((25, 25)) < p,
+              st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95)),
+    st.builds(flipped_shape_mask, st.integers(0, 2 ** 32 - 1),
+              st.sampled_from(harness.CONCEPT_LABELS), st.floats(0.0, 0.05)),
+).filter(lambda m: m.sum() >= encoder.MIN_FOREGROUND_PIXELS)
+
+
+class TestConvexityWitness:
+    """A witness fires exactly for a background band pixel strictly inside
+    the foreground's hull, and only where neither family fits the band."""
+
+    def check(self, mask):
+        fired = encoder._convexity_witness(mask)
+        assert fired == reference_witness(mask)
+        if fired:
+            assert reference_consistency_slack(mask, None) < 0
+            assert reference_consistency_slack(mask, 8) < 0
+        return fired
+
+    def test_seeded_masks(self, masks):
+        assert any([self.check(mask) for mask in masks])
+        assert any(map(encoder._convexity_witness, seeded_masks(("received",))))
+
+    @given(any_mask)
+    @example(np.pad(np.ones((9, 9), dtype=bool), 8))  # a square: no pixel inside
+    @example(np.pad(np.eye(21, dtype=bool) | np.eye(21, dtype=bool)[::-1], 2))
+    @settings(max_examples=40, deadline=None)
+    def test_arbitrary_masks(self, mask):
+        self.check(mask)
 
 
 def reference_model_radius(angles, n, radius, rotation):
