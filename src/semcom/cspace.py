@@ -112,14 +112,6 @@ def polygon_ratio(n_sides: int | None) -> float:
     return 1.0 / math.cos(math.pi / n_sides)
 
 
-def distortion_bound_holds(p_star: SemanticPoint, p: SemanticPoint,
-                           p_hat: SemanticPoint) -> bool:
-    """Triangle-inequality decomposition of the end-to-end distortion."""
-    lhs = semantic_metric(p_star, p_hat)
-    rhs = semantic_metric(p_star, p) + semantic_metric(p, p_hat)
-    return lhs <= rhs + 1e-12
-
-
 # Canonical hues: red 0, yellow 1/6, blue 2/3. Saturation and brightness
 # copy the yellow-square reference prototype.
 _PROTO_S = 1.0

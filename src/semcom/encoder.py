@@ -217,24 +217,9 @@ def _polygon_slacks(bx: np.ndarray, by: np.ndarray, fx: np.ndarray,
     return slacks
 
 
-def _certificate_band(mask: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """The centroid (cx0, cy0) and the band the consistency certificate compares.
-
-    The band is a flat boolean over pixel_grid: every pixel whose distance
-    from the centroid is within 3.2 of the farthest foreground pixel's.
-    """
-    ys, xs = np.nonzero(mask)
-    cy0 = ys.mean()
-    cx0 = xs.mean()
-    gx, gy = pixel_grid(mask.shape)
-    dist0 = np.hypot(gx - cx0, gy - cy0)
-    rmax = dist0[mask.ravel()].max()
-    return cx0, cy0, (dist0 >= rmax - 3.2) & (dist0 <= rmax + 3.2)
-
-
-def _convexity_witness(mask: np.ndarray) -> bool:
-    """Whether a background band pixel lies strictly inside the convex hull
-    of the band's foreground pixels.
+def _convexity_witness(mask: np.ndarray, band: np.ndarray) -> bool:
+    """Whether a background pixel of the certificate's band lies strictly
+    inside the convex hull of the band's foreground pixels.
 
     If one does, no circle and no octagon reproduces the band at any center
     or rotation, so both slacks are negative. For both families u is a
@@ -249,7 +234,6 @@ def _convexity_witness(mask: np.ndarray) -> bool:
     the upper back up their last. All arithmetic is on integers, so
     "strictly inside" is exact.
     """
-    _, _, band = _certificate_band(mask)
     flat = mask.ravel()
     w = mask.shape[1]
     fg = np.flatnonzero(band & flat)  # in raster order
@@ -279,9 +263,12 @@ def _chain(points: list) -> list:
     return chain
 
 
-def _consistency_slack(mask: np.ndarray, n: int | None, *,
-                       beat: float = math.inf) -> float:
+def _consistency_slack(mask: np.ndarray, band: np.ndarray, cx0: float, cy0: float,
+                       n: int | None, *, beat: float = math.inf) -> float:
     """Largest margin by which some shape of the family reproduces the mask.
+
+    Only the pixels of ``band``, fit_shape's flat boolean over pixel_grid
+    around the centroid (cx0, cy0), are compared.
 
     For a candidate center (and rotation), every pixel reduces to a scalar
     u = dist * cos(folded angle) such that the pixel is inside the shape
@@ -321,7 +308,6 @@ def _consistency_slack(mask: np.ndarray, n: int | None, *,
     would exceed ``beat`` too. Below ``beat`` it takes the same path and
     returns the same float.
     """
-    cx0, cy0, band = _certificate_band(mask)
     gx, gy = pixel_grid(mask.shape)
     flat = mask.ravel()
     px = gx[band]
@@ -467,14 +453,18 @@ def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
             best = (n, float(radii[i]), float(rot[i]))
 
     if best[0] in (None, 8):
-        circle_slack = _consistency_slack(mask, None)
-        if circle_slack <= 0 and _convexity_witness(mask):
+        # the certificate's band: every pixel whose distance from the centroid
+        # is within 3.2 of the farthest foreground pixel's
+        rmax = dist[flat].max()
+        band = (dist >= rmax - 3.2) & (dist <= rmax + 3.2)
+        circle_slack = _consistency_slack(mask, band, cx, cy, None)
+        if circle_slack <= 0 and _convexity_witness(mask, band):
             return best  # both slacks are negative: the template's pick stands
         # the octagon family matches spuriously more often, so it must win by a
         # clear margin (any positive slack wins where the circle's is <= 0);
         # the search need only tell whether its slack beats that margin
         beat = max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack)
-        if _consistency_slack(mask, 8, beat=beat) > beat:
+        if _consistency_slack(mask, band, cx, cy, 8, beat=beat) > beat:
             best = (8, best[1], best[2])
         elif circle_slack > 0:
             best = (None, best[1], 0.0)

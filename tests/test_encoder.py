@@ -309,6 +309,17 @@ def reference_band(mask):
     return cx0, cy0, gx, gy, (dist0 >= rmax - 3.2) & (dist0 <= rmax + 3.2)
 
 
+def certificate_slack(mask, n, **beat):
+    """encoder._consistency_slack on the mask's reference band and centroid."""
+    cx0, cy0, _, _, band = reference_band(mask)
+    return encoder._consistency_slack(mask, band, cx0, cy0, n, **beat)
+
+
+def convexity_witness(mask):
+    """encoder._convexity_witness on the mask's reference band."""
+    return encoder._convexity_witness(mask, reference_band(mask)[4])
+
+
 def reference_consistency_slack(mask, n, rot_seed=0.0):
     """The exhaustive search: every band pixel at every center and rotation."""
     cx0, cy0, gx, gy, band = reference_band(mask)
@@ -390,6 +401,33 @@ def masks():
     return seeded_masks()
 
 
+class TestCertificateBand:
+    """fit_shape hands every certificate call the reference band and centroid."""
+
+    def test_fit_shape_hands_down_the_reference_band(self, masks, monkeypatch):
+        slack, witness = encoder._consistency_slack, encoder._convexity_witness
+        calls = []
+
+        def recorded_slack(mask, band, cx0, cy0, n, **beat):
+            calls.append((mask, band, (cx0, cy0)))
+            return slack(mask, band, cx0, cy0, n, **beat)
+
+        def recorded_witness(mask, band):
+            calls.append((mask, band, None))
+            return witness(mask, band)
+
+        monkeypatch.setattr(encoder, "_consistency_slack", recorded_slack)
+        monkeypatch.setattr(encoder, "_convexity_witness", recorded_witness)
+        for mask in masks:
+            encoder._fit_shape(mask)
+        assert len(calls) > 50
+        assert any(centroid is None for _, _, centroid in calls)  # the witness ran
+        for mask, band, centroid in calls:
+            cx0, cy0, _, _, expected = reference_band(mask)
+            assert np.array_equal(band, expected)
+            assert centroid in (None, (cx0, cy0))
+
+
 class TestConsistencySlack:
     """The pruned certificate returns exactly the exhaustive search's float."""
 
@@ -397,7 +435,7 @@ class TestConsistencySlack:
     def test_bit_identical_to_exhaustive(self, masks, n):
         assert len(masks) >= 55
         for mask in masks:
-            got = encoder._consistency_slack(mask, n)
+            got = certificate_slack(mask, n)
             assert got == reference_consistency_slack(mask, n)
 
     @pytest.mark.parametrize("n", [None, 8])
@@ -405,18 +443,18 @@ class TestConsistencySlack:
         # the other -inf case, a band with no foreground, cannot occur: the
         # farthest foreground pixel always lies in the band
         mask = np.ones((25, 25), dtype=bool)
-        assert encoder._consistency_slack(mask, n) == -np.inf
+        assert certificate_slack(mask, n) == -np.inf
         assert reference_consistency_slack(mask, n) == -np.inf
 
     @pytest.mark.parametrize("n", [None, 8])
     def test_threshold_exit(self, masks, n):
         # beat -inf exits at the middle point; 2.5 * c is fit_shape's margin
         for mask in masks:
-            full = encoder._consistency_slack(mask, n)
-            circle = encoder._consistency_slack(mask, None)
+            full = certificate_slack(mask, n)
+            circle = certificate_slack(mask, None)
             for beat in (-math.inf, 0.0, 0.1, 0.25,
                          encoder._OCTAGON_SLACK_FACTOR * circle):
-                got = encoder._consistency_slack(mask, n, beat=beat)
+                got = certificate_slack(mask, n, beat=beat)
                 assert (got > beat) == (full > beat), (beat, got, full)
                 if full <= beat:
                     assert got == full
@@ -426,7 +464,7 @@ class TestConsistencySlack:
         # the full search, whatever the margin: a beat passed by position
         # would land in rot_seed
         monkeypatch.setattr(encoder, "_consistency_slack",
-                            lambda mask, n, *, beat=math.inf:
+                            lambda mask, band, cx0, cy0, n, *, beat=math.inf:
                             reference_consistency_slack(mask, n))
         # the memoized front would return the fits above; refit without it
         assert fitted == [encoder._fit_shape(mask) for mask in masks]
@@ -455,9 +493,9 @@ class TestRoundCertificateRule:
     def test_every_slack_pair(self, masks, monkeypatch):
         # with no certificate the template's pick stands; with the witness off
         # every slack pair reaches the rule, and the rule gets whole slacks
-        monkeypatch.setattr(encoder, "_convexity_witness", lambda mask: False)
+        monkeypatch.setattr(encoder, "_convexity_witness", lambda mask, band: False)
         monkeypatch.setattr(encoder, "_consistency_slack",
-                            lambda mask, n, *, beat=math.inf: -math.inf)
+                            lambda mask, band, cx0, cy0, n, *, beat=math.inf: -math.inf)
         templates = {}
         for mask in masks:
             fit = encoder._fit_shape(mask)
@@ -471,29 +509,30 @@ class TestRoundCertificateRule:
             for c in SLACKS:
                 for o in SLACKS:
                     monkeypatch.setattr(encoder, "_consistency_slack",
-                                        lambda mask, k, *, beat=math.inf, c=c, o=o:
-                                        c if k is None else o)
+                                        lambda mask, band, cx0, cy0, k, *, beat=math.inf,
+                                        c=c, o=o: c if k is None else o)
                     assert (encoder._fit_shape(mask)
                             == reference_round_pick(template, c, o)), (n, c, o)
             monkeypatch.setattr(encoder, "_consistency_slack",
-                                lambda mask, k, *, beat=math.inf: 0.1 if k is None else 0.25)
+                                lambda mask, band, cx0, cy0, k, *, beat=math.inf:
+                                0.1 if k is None else 0.25)
             assert encoder._fit_shape(mask)[0] is None
 
     def test_witness_keeps_the_template(self, masks, monkeypatch):
         # a witness proves both slacks negative, so it is asked only where the
         # circle's is not positive, and then the template's pick stands
-        monkeypatch.setattr(encoder, "_convexity_witness", lambda mask: True)
+        monkeypatch.setattr(encoder, "_convexity_witness", lambda mask, band: True)
         mask = next(m for m in masks if encoder._fit_shape(m)[0] == 8)
         monkeypatch.setattr(encoder, "_consistency_slack",
-                            lambda mask, n, *, beat=math.inf: -math.inf)
+                            lambda mask, band, cx0, cy0, n, *, beat=math.inf: -math.inf)
         template = encoder._fit_shape(mask)
         for c in SLACKS:
             for o in SLACKS:
                 if c <= 0 < o:
                     continue  # no witness exists for such a mask
                 monkeypatch.setattr(encoder, "_consistency_slack",
-                                    lambda mask, k, *, beat=math.inf, c=c, o=o:
-                                    c if k is None else o)
+                                    lambda mask, band, cx0, cy0, k, *, beat=math.inf,
+                                    c=c, o=o: c if k is None else o)
                 assert (encoder._fit_shape(mask)
                         == reference_round_pick(template, c, o)), (c, o)
 
@@ -548,7 +587,7 @@ class TestConvexityWitness:
     the foreground's hull, and only where neither family fits the band."""
 
     def check(self, mask):
-        fired = encoder._convexity_witness(mask)
+        fired = convexity_witness(mask)
         assert fired == reference_witness(mask)
         if fired:
             assert reference_consistency_slack(mask, None) < 0
@@ -557,7 +596,7 @@ class TestConvexityWitness:
 
     def test_seeded_masks(self, masks):
         assert any([self.check(mask) for mask in masks])
-        assert any(map(encoder._convexity_witness, seeded_masks(("received",))))
+        assert any(map(convexity_witness, seeded_masks(("received",))))
 
     @given(any_mask)
     @example(np.pad(np.ones((9, 9), dtype=bool), 8))  # a square: no pixel inside
@@ -624,8 +663,8 @@ def reference_fit_shape(mask):
                 best = (n, radius, rot)
     if best[0] not in (None, 8):
         return best
-    return reference_round_pick(best, encoder._consistency_slack(mask, None),
-                                encoder._consistency_slack(mask, 8))
+    return reference_round_pick(best, certificate_slack(mask, None),
+                                certificate_slack(mask, 8))
 
 
 def structured_masks():
