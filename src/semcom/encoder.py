@@ -58,10 +58,15 @@ def _largest_component(mask: np.ndarray) -> np.ndarray:
     # the runs of the row above that overlap run i are lo[i] <= j < hi[i]
     lo = np.searchsorted(stops, starts - width, side="right")
     hi = np.searchsorted(starts, stops - width)
-    touching = np.flatnonzero(hi > lo)
-    parent = list(range(starts.size))
-    components = len(parent)
-    for i, a, b in zip(touching.tolist(), lo[touching].tolist(), hi[touching].tolist()):
+    # a run that overlaps just one run above joins it at once; its parent
+    # then precedes it, as every parent does
+    above = hi - lo
+    one_above = above == 1
+    parent = np.where(one_above, lo, np.arange(above.size)).tolist()
+    components = len(parent) - int(np.count_nonzero(one_above))
+    many_above = np.flatnonzero(above > 1)
+    for i, a, b in zip(many_above.tolist(), lo[many_above].tolist(),
+                       hi[many_above].tolist()):
         x = i  # the root of run i: it has joined only runs before it
         for j in range(a, b):
             while parent[j] != j:

@@ -109,12 +109,13 @@ def semantic_rate_search(tau: float, snr_db: float | None = None,
     retained. Infeasible thresholds (below the encoder floor) yield
     minimal_n_b = None. A point whose trials are all degenerate has nan
     mean and stderr and is infeasible. A tau that is not > 0 (nan
-    included), a max_n_b outside 1..16 or fewer than one trial raises
-    InvalidParameterError before any trial runs.
+    included), a max_n_b outside 1..16, an SNR with no positive finite
+    linear value or fewer than one trial raises InvalidParameterError
+    before any trial runs.
     """
     if not tau > 0:  # refuses nan as well
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    _check_batch("semantic", max_n_b, trials, 1)
+    _check_batch("semantic", max_n_b, (snr_db,), trials, 1)
     n_b_values = range(1, max_n_b + 1)
     aggs = _run_points(run_trial, [(n_b, snr_db) for n_b in n_b_values], trials, base_seed)
     points = [RatePoint(n_b, agg.mean_distortion, agg.distortion_se,

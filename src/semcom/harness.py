@@ -56,19 +56,19 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_batch(self.system, self.n_b, self.trials, self.workers)
-        for snr_db in self.snr_db_list:  # the channel's own check, before any trial
-            if snr_db is not None:
-                phy._linear_snr(snr_db)
+        _check_batch(self.system, self.n_b, self.snr_db_list, self.trials, self.workers)
 
 
-def _check_batch(system: str, n_b: int, trials: int, workers: int) -> None:
+def _check_batch(system: str, n_b: int, snr_db_list, trials: int, workers: int) -> None:
     """Raise InvalidParameterError unless a batch of trials can run as given."""
     if system not in ("semantic", "traditional"):
         raise InvalidParameterError(f"unknown system {system!r}")
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     phy.QuantizerSpec(n_b)
+    for snr_db in snr_db_list:  # the channel's own check
+        if snr_db is not None:
+            phy._linear_snr(snr_db)
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1")
 
@@ -111,10 +111,18 @@ def _decode(concept: str, point, bits, received, received_point) -> TrialRecord:
         distortion=distortion, degenerate=received_point is None)
 
 
+def _scene(concept: str, rng: np.random.Generator) -> np.ndarray:
+    """A noisy render of a scene of the concept, drawn from the stream."""
+    return scenegen.render(scenegen.sample_spec(concept, rng), rng)
+
+
 def run_trial(concept: str, n_b: int, snr_db: float | None,
-              rng: np.random.Generator) -> TrialRecord:
-    """Scene -> encode -> quantize/pack -> channel -> decode, fully recorded."""
-    point = _encode(scenegen.render(scenegen.sample_spec(concept, rng), rng))
+              rng: np.random.Generator, img: np.ndarray | None = None) -> TrialRecord:
+    """Scene -> encode -> quantize/pack -> channel -> decode, fully recorded.
+
+    img is the scene already rendered from rng; without it, it is rendered here.
+    """
+    point = _encode(_scene(concept, rng) if img is None else img)
     if point is None:  # nothing to send, so no channel draws
         return _decode(concept, None, None, None, None)
     qspec = phy.QuantizerSpec(n_b)
@@ -125,9 +133,14 @@ def run_trial(concept: str, n_b: int, snr_db: float | None,
 
 
 def run_traditional_trial(concept: str, n_b: int, snr_db: float | None,
-                          rng: np.random.Generator) -> TrialRecord:
-    """Pixel-transmission trial with the shared perception stack at the RX."""
-    img = scenegen.render(scenegen.sample_spec(concept, rng), rng)
+                          rng: np.random.Generator,
+                          img: np.ndarray | None = None) -> TrialRecord:
+    """Pixel-transmission trial with the shared perception stack at the RX.
+
+    img is the scene already rendered from rng; without it, it is rendered here.
+    """
+    if img is None:
+        img = _scene(concept, rng)
     bits = baseline.pixel_quantize(img, n_b)
     received = phy.transmit_packet(bits, phy.ChannelParams(snr_db, rng))
     point = _encode(baseline.pixel_dequantize(received, n_b))
@@ -182,11 +195,20 @@ class Aggregate:
 
 
 def _trial_outcomes(trial_fn, points, base_seed: int, index: int) -> list[tuple]:
-    """One trial's outcome at each point, each from a fresh draw of its stream."""
+    """One trial's outcome at each point, its scene drawn and rendered once.
+
+    Each point's link draws follow the render on the trial's stream, so the
+    stream is rewound to just after the render before every later point:
+    each point sees the stream a fresh draw_trial would give it.
+    """
+    concept, rng = draw_trial(base_seed, index)
+    img = _scene(concept, rng)
+    after_render = rng.bit_generator.state if len(points) > 1 else None
     out = []
-    for n_b, snr_db in points:
-        concept, rng = draw_trial(base_seed, index)
-        rec = trial_fn(concept, n_b, snr_db, rng)
+    for k, (n_b, snr_db) in enumerate(points):
+        if k:
+            rng.bit_generator.state = after_render
+        rec = trial_fn(concept, n_b, snr_db, rng, img)
         out.append((rec.syntactic_error, rec.semantic_error,
                     rec.degenerate, rec.distortion))
     return out
@@ -196,7 +218,8 @@ def _run_points(trial_fn, points, trials: int, base_seed: int,
                 workers: int = 1) -> list[Aggregate]:
     """One Aggregate per (n_b, snr_db) point, over the same trials.
 
-    Trial-major, so a scene's later points find its fit in encoder's memo.
+    Trial-major: each trial's scene is rendered once for all its points,
+    and its later points find its fit in encoder's memo.
     Rows come back in input order from map and pool.map alike, so every
     point sums its outcomes in trial-index order whatever the worker count;
     one contiguous chunk per worker only cuts inter-process round trips.
@@ -224,7 +247,7 @@ def run_trials(system: str, n_b: int, snr_db: float | None, trials: int,
     result bit-identical for every worker count; workers are separate
     processes since the trial loop is CPU-bound.
     """
-    _check_batch(system, n_b, trials, workers)
+    _check_batch(system, n_b, (snr_db,), trials, workers)
     trial_fn = run_trial if system == "semantic" else run_traditional_trial
     return _run_points(trial_fn, [(n_b, snr_db)], trials, base_seed, workers)[0]
 
@@ -249,7 +272,7 @@ def sweep_snr(cfg: ExperimentConfig) -> list[dict]:
 
 def sweep_rate(trials: int, base_seed: int, workers: int = 1) -> list[dict]:
     """Rate-vs-semantic-error rows at RATE_SWEEP_SNR_DB, one _run_points batch per system."""
-    _check_batch("semantic", RATE_SWEEP_NB[0], trials, workers)
+    _check_batch("semantic", RATE_SWEEP_NB[0], (RATE_SWEEP_SNR_DB,), trials, workers)
     points = [(n_b, RATE_SWEEP_SNR_DB) for n_b in RATE_SWEEP_NB]
     rows = []
     for system, trial_fn, rate_fn in (

@@ -23,6 +23,20 @@ def readme_commands() -> list[str]:
             if line.startswith("semcom ")]
 
 
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fail the test if a trial starts."""
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(harness, "draw_trial", no_trial)
+
+
+def assert_one_error_line(capsys, start):
+    captured = capsys.readouterr()
+    assert captured.err.startswith(start) and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("line", readme_commands())
 def test_readme_command_parses(line):
     build_parser().parse_args(shlex.split(line, comments=True)[1:])
@@ -84,6 +98,12 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "p_semantic=" in out and "trials=10" in out
 
+
+    @pytest.mark.parametrize("snr_db", ["nan", "1e6"])
+    def test_refuses_a_bad_snr_before_any_trial(self, snr_db, no_trials, capsys):
+        code = main(["simulate", "--trials", "5", "--snr-db", snr_db])
+        assert code == 1
+        assert_one_error_line(capsys, f"error: snr_db={float(snr_db)}")
 
     def test_rejects_fewer_than_one_worker(self, capsys):
         for workers in ("0", "-3"):
@@ -149,15 +169,10 @@ class TestSweeps:
         assert out.startswith("# snr_db p_syntactic ")
         assert out == path.read_text()
 
-    def test_sweep_snr_refuses_a_bad_snr_before_any_trial(self, monkeypatch, capsys):
-        def no_trial(*args):
-            raise AssertionError("a trial ran")
-        monkeypatch.setattr(harness, "draw_trial", no_trial)
+    def test_sweep_snr_refuses_a_bad_snr_before_any_trial(self, no_trials, capsys):
         code = main(["sweep-snr", "--trials", "5", "--snr-db", "0,nan"])
         assert code == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: snr_db=nan") and captured.err.count("\n") == 1
-        assert captured.out == ""
+        assert_one_error_line(capsys, "error: snr_db=nan")
 
     def test_sweep_snr_noiseless_point(self, capsys):
         code = main(["sweep-snr", "--trials", "5", "--seed", "1",
@@ -320,6 +335,14 @@ class TestFuncomp:
                      "--trials", "10"])
         assert code == 0
         assert "minimal_nb=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("snr", ["nan", "1e6"])
+    def test_rate_search_refuses_a_bad_snr_before_any_trial(self, snr, no_trials,
+                                                             capsys):
+        code = main(["funcomp", "rate-search", "--tau", "0.1", "--snr", snr,
+                     "--trials", "5"])
+        assert code == 1
+        assert_one_error_line(capsys, f"error: snr_db={float(snr)}")
 
     def test_rate_search_rejects_bad_tau(self, capsys):
         code = main(["funcomp", "rate-search", "--tau", "-1", "--snr", "none",

@@ -147,6 +147,33 @@ class TestLargestComponent:
         assert np.array_equal(encoder._largest_component(mask),
                               reference_largest_component(mask))
 
+    @pytest.mark.parametrize("spine", [0, -1])
+    @pytest.mark.parametrize("stray", [False, True])
+    def test_large_comb(self, spine, stray):
+        # 350 teeth of 699 runs, each with one run above, on a spine at the
+        # top (no run has two above) or at the bottom (one run has 350)
+        mask = np.zeros((700, 702), dtype=bool)
+        mask[:, :700:2] = True
+        mask[spine, :700] = True
+        mask[350, 701] = stray
+        assert np.array_equal(encoder._largest_component(mask),
+                              reference_largest_component(mask))
+
+    @pytest.mark.parametrize("stray", [False, True])
+    def test_large_spiral(self, stray):
+        mask = np.zeros((700, 702), dtype=bool)
+        y, x, dy, dx, length, legs = 0, 0, 0, 1, 699, 0
+        while length > 0:  # a one-pixel line turning clockwise inward
+            for _ in range(length):
+                mask[y, x] = True
+                y, x = y + dy, x + dx
+            dy, dx = dx, -dy
+            legs += 1
+            length -= 2 * (legs >= 3 and legs % 2 == 1)
+        mask[350, 701] = stray
+        assert np.array_equal(encoder._largest_component(mask),
+                              reference_largest_component(mask))
+
 
 class TestEstimateColor:
     def test_uniform_fill(self):

@@ -131,9 +131,19 @@ class TestRateSearch:
     def test_rejects_max_n_b_outside_quantizer_range_before_any_trial(
             self, max_n_b, monkeypatch):
         calls = []
+        # a trial starts with harness's scene stage, before run_trial is called
+        monkeypatch.setattr(harness, "draw_trial", lambda *a: calls.append(a))
         monkeypatch.setattr(funcomp, "run_trial", lambda *a: calls.append(a))
         with pytest.raises(InvalidParameterError):
             funcomp.semantic_rate_search(0.1, trials=1, max_n_b=max_n_b)
+        assert calls == []
+
+    @pytest.mark.parametrize("snr_db", [math.nan, 1e6])
+    def test_rejects_a_bad_snr_before_any_trial(self, snr_db, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "draw_trial", lambda *a: calls.append(a))
+        with pytest.raises(InvalidParameterError, match="no positive finite"):
+            funcomp.semantic_rate_search(0.1, snr_db=snr_db, trials=1)
         assert calls == []
 
     def test_loose_threshold_feasible_at_one_bit(self):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -154,6 +155,17 @@ class TestRunTrials:
         with pytest.raises(InvalidParameterError, match="no positive finite linear SNR"):
             harness.ExperimentConfig(snr_db_list=(0.0, None, math.nan))
 
+    @pytest.mark.parametrize("snr_db", [math.nan, 1e6])
+    def test_refuses_a_bad_snr_before_any_trial(self, snr_db, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "draw_trial", no_trial)
+        for system in ("semantic", "traditional"):
+            with pytest.raises(InvalidParameterError, match="no positive finite"):
+                harness.run_trials(system, 8, snr_db, 2, 0)
+        with pytest.raises(InvalidParameterError, match="no positive finite"):
+            harness.ExperimentConfig(snr_db_list=(0.0, snr_db))
+
     @pytest.mark.parametrize("system,n_b,trials", [
         ("quantum", 8, 2), ("semantic", 8, 0), ("traditional", 8, 0),
         ("traditional", 0, 2), ("traditional", 20, 2), ("semantic", 17, 2)])
@@ -180,11 +192,14 @@ class TestRunTrials:
         assert agg == harness.run_trials("semantic", 8, None, 4, 5, workers=1)
 
 
+TRIAL_FNS = pytest.mark.parametrize("system,trial_fn", [
+    ("semantic", harness.run_trial),
+    ("traditional", harness.run_traditional_trial)], ids=["semantic", "traditional"])
+
+
 class TestRunPoints:
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("system,trial_fn", [
-        ("semantic", harness.run_trial),
-        ("traditional", harness.run_traditional_trial)], ids=["semantic", "traditional"])
+    @TRIAL_FNS
     def test_equals_run_trials_point_by_point(self, system, trial_fn, workers,
                                               pool_sizes):
         # 7 trials over 2 or 3 workers leave uneven chunks
@@ -193,6 +208,40 @@ class TestRunPoints:
         assert pool_sizes == ([workers] if workers > 1 else [])
         assert aggs == [harness.run_trials(system, n_b, snr_db, 7, 2)
                         for n_b, snr_db in points]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @TRIAL_FNS
+    def test_equals_fresh_trials_at_each_point(self, system, trial_fn, workers):
+        # the reference draws and renders every (trial, point) from scratch
+        points = [(8, 5.0), (2, 10.0), (8, 15.0)]
+        aggs = harness._run_points(trial_fn, points, 6, 4, workers)
+        for (n_b, snr_db), agg in zip(points, aggs):
+            ref = harness.Aggregate()
+            for i in range(6):
+                concept, rng = harness.draw_trial(4, i)
+                rec = trial_fn(concept, n_b, snr_db, rng)
+                ref.add_outcome(rec.syntactic_error, rec.semantic_error,
+                                rec.degenerate, rec.distortion)
+            assert agg == ref
+        assert sum(agg.syntactic_errors for agg in aggs) > 0  # the channel drew noise
+
+    @TRIAL_FNS
+    def test_renders_each_scene_once_and_encodes_it_at_each_point(
+            self, system, trial_fn, monkeypatch):
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        count(scenegen, "render")
+        count(encoder, "encode")
+        harness._run_points(trial_fn, [(8, 10.0), (2, 10.0), (8, None)], 5, 1)
+        assert calls == {"render": 5, "encode": 15}
 
 
 class TestSweeps:
