@@ -26,6 +26,8 @@ class FiniteFunction:
     probabilities: dict | None = None
 
     def __post_init__(self):
+        if not self.domain:
+            raise InvalidParameterError("the domain is empty")
         repeated = [x for x, k in Counter(self.domain).items() if k > 1]
         if repeated:
             raise InvalidParameterError(f"domain elements repeated: {repeated}")

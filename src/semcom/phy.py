@@ -113,33 +113,6 @@ def unpack(bits: np.ndarray, n_b: int) -> np.ndarray:
     return _from_bits(bits, 4, QuantizerSpec(n_b))
 
 
-def bpsk_modulate(bits: np.ndarray) -> np.ndarray:
-    """Bit 0 -> +1, bit 1 -> -1, unit symbol energy."""
-    return 1.0 - 2.0 * np.asarray(bits, dtype=float)
-
-
-def bpsk_demodulate(received: np.ndarray, csi: np.ndarray) -> np.ndarray:
-    """Coherent sign decision after fade compensation (perfect CSI)."""
-    return (np.asarray(received) * np.asarray(csi) < 0).astype(np.uint8)
-
-
-def rayleigh_awgn(symbols: np.ndarray, params: ChannelParams
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """y = a*x + n with unit-mean-square Rayleigh fades a and AWGN n.
-
-    Noise variance is 1/(2*gamma) for average symbol SNR gamma, matching
-    the textbook coherent-BPSK result analytic_ber verifies against.
-    Returns (received samples, fade gains).
-    """
-    symbols = np.asarray(symbols, dtype=float)
-    if params.snr_db is None:
-        return symbols.copy(), np.ones_like(symbols)
-    fades = params.rng.rayleigh(scale=math.sqrt(0.5), size=symbols.shape)
-    snr = _linear_snr(params.snr_db)
-    noise = params.rng.normal(0.0, math.sqrt(0.5 / snr), size=symbols.shape)
-    return fades * symbols + noise, fades
-
-
 def analytic_ber(snr_db: float) -> float:
     """Average BER of coherent BPSK on a Rayleigh channel: closed form."""
     snr = _linear_snr(snr_db)
@@ -147,7 +120,20 @@ def analytic_ber(snr_db: float) -> float:
 
 
 def transmit_packet(bits: np.ndarray, params: ChannelParams) -> np.ndarray:
-    """Modulate, pass through the channel, demodulate; length preserved."""
-    symbols = bpsk_modulate(bits)
-    received, fades = rayleigh_awgn(symbols, params)
-    return bpsk_demodulate(received, fades)
+    """The link's channel: BPSK over Rayleigh fading and AWGN; shape kept.
+
+    Bit 0 -> +1 and bit 1 -> -1. Each symbol x gets its own unit-mean-square
+    Rayleigh fade a, then AWGN n of variance 1/(2*gamma) for the average
+    symbol SNR gamma, both drawn from params.rng, all fades first. With
+    perfect CSI the receiver decides bit 1 where y*a < 0 for y = a*x + n,
+    the coherent detector analytic_ber gives in closed form. The noiseless
+    channel (snr_db None) sends y = x and draws nothing.
+    """
+    x = 1.0 - 2.0 * np.asarray(bits, dtype=float)  # a fresh array, worked in place
+    if params.snr_db is not None:
+        fades = params.rng.rayleigh(scale=math.sqrt(0.5), size=x.shape)
+        x *= fades
+        x += params.rng.normal(0.0, math.sqrt(0.5 / _linear_snr(params.snr_db)),
+                               size=x.shape)
+        x *= fades
+    return (x < 0).astype(np.uint8)

@@ -69,13 +69,10 @@ def test_criterion_3_channel_ber(criterion_report):
     ok = True
     for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0):
         rng = np.random.default_rng(1234 + int(snr_db))
-        errors = 0
-        snr = 10.0 ** (snr_db / 10.0)
-        for _ in range(n_bits // chunk):
-            fades = rng.rayleigh(scale=math.sqrt(0.5), size=chunk)
-            noise = rng.normal(0.0, math.sqrt(0.5 / snr), size=chunk)
-            # all-zero bits -> +1 symbols; an error is a negative decision
-            errors += int(((fades + noise) * fades < 0).sum())
+        params = phy.ChannelParams(snr_db, rng)
+        # all-zero packets through the simulator's channel; a 1 is an error
+        errors = sum(int(phy.transmit_packet(np.zeros(chunk, np.uint8), params).sum())
+                     for _ in range(n_bits // chunk))
         ber = errors / n_bits
         expected = phy.analytic_ber(snr_db)
         se = math.sqrt(expected * (1.0 - expected) / n_bits)
@@ -225,7 +222,7 @@ def _encoder_floor_error(case: tuple[int, int]) -> bool:
     ci, i = case
     label = cspace.CONCEPTS[ci].label
     rng = harness.trial_rng(7_000 + ci, i)
-    img = scenegen.render(scenegen.sample_spec(label, rng), rng)
+    img = harness._scene(label, rng)
     try:
         point = encoder.encode(img)
     except SemcomError:  # a degenerate scene; any other error is a bug

@@ -324,6 +324,11 @@ class TestFuncomp:
             f.write(b"\xff\xfe\x00element,output\n")
         self.assert_one_error_line(spec, capsys)
 
+    def test_classes_header_only(self, tmp_path, capsys):
+        err = self.assert_one_error_line(
+            self.write_spec(tmp_path, ["element,output,probability"]), capsys)
+        assert "domain is empty" in err
+
     def test_classes_repeated_element(self, tmp_path, capsys):
         for rows in (["element,output", "a,0", "b,1", "a,1"],
                      ["element,output,probability", "a,0,0.5", "b,1,0.25", "a,1,0.25"]):

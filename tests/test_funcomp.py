@@ -66,6 +66,11 @@ class TestFiniteFunction:
         with pytest.raises(InvalidParameterError, match="'a'"):
             funcomp.FiniteFunction(["a", "b", "a"], {"a": 0, "b": 1})
 
+    @pytest.mark.parametrize("probabilities", [None, {}], ids=["default", "empty"])
+    def test_rejects_an_empty_domain(self, probabilities):
+        with pytest.raises(InvalidParameterError, match="domain is empty"):
+            funcomp.FiniteFunction([], {}, probabilities)
+
     def test_uniform_default(self):
         f = mod2_function()
         assert f.probabilities[0] == pytest.approx(0.25)

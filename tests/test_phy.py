@@ -1,5 +1,6 @@
 """Technical layer: quantizer, packing, BPSK/Rayleigh channel."""
 
+import copy
 import math
 
 import numpy as np
@@ -102,19 +103,47 @@ class TestPackUnpack:
             phy.unpack(np.zeros(max(4 * n_b, 0), dtype=np.uint8), n_b)
 
 
+class TestChannelReference:
+    """transmit_packet against the textbook channel, recomputed on a copy of
+    its stream: Rayleigh fades, then AWGN of variance 1/(2*gamma), then the
+    coherent decision with bit 0 sent as +1."""
+
+    @staticmethod
+    def textbook(bits, snr_db, rng):
+        fades = rng.rayleigh(math.sqrt(0.5), size=bits.shape)
+        noise = rng.normal(0.0, math.sqrt(0.5 / 10.0 ** (snr_db / 10.0)), size=bits.shape)
+        return ((fades * (1.0 - 2.0 * bits) + noise) * fades < 0).astype(np.uint8), fades
+
+    def check(self, bits, snr_db, rng):
+        """Assert transmit_packet equals the textbook channel; return its fades."""
+        sent = bits.copy()
+        expected, fades = self.textbook(bits, snr_db, copy.deepcopy(rng))
+        out = phy.transmit_packet(bits, phy.ChannelParams(snr_db, rng))
+        assert np.array_equal(bits, sent)
+        assert out.dtype == np.uint8 and out.shape == bits.shape
+        assert np.array_equal(out, expected)
+        return fades
+
+    @pytest.mark.parametrize("tiles", [(), (400, 1)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
+    def test_equals_the_textbook_channel(self, snr_db, tiles, rng):
+        packet = rng.integers(0, 2, size=32).astype(np.uint8)
+        self.check(np.tile(packet, tiles) if tiles else packet, snr_db, rng)
+
+    def test_fade_power_is_unit(self, rng):
+        # float bits, which a channel working in place on its input would overwrite
+        fades = self.check(rng.integers(0, 2, size=200_000).astype(float), 10.0, rng)
+        assert np.mean(fades ** 2) == pytest.approx(1.0, abs=0.01)
+
+
 class TestBpsk:
-    def test_mapping(self):
-        assert phy.bpsk_modulate(np.array([0, 1, 0])).tolist() == [1.0, -1.0, 1.0]
-
-    def test_demodulate_with_csi(self):
-        rx = np.array([0.3, -2.0, 0.01, -0.5])
-        csi = np.array([1.0, 1.0, 1.0, -1.0])
-        assert phy.bpsk_demodulate(rx, csi).tolist() == [0, 1, 0, 0]
-
     def test_noiseless_channel_identity(self, rng):
-        bits = rng.integers(0, 2, size=64).astype(np.uint8)
-        out = phy.transmit_packet(bits, phy.ChannelParams(None, rng))
-        assert np.array_equal(out, bits)
+        for shape in ((64,), (8, 32)):
+            bits = rng.integers(0, 2, size=shape).astype(np.uint8)
+            state = rng.bit_generator.state
+            out = phy.transmit_packet(bits, phy.ChannelParams(None, rng))
+            assert rng.bit_generator.state == state  # nothing drawn
+            assert np.array_equal(out, bits)
 
     def test_channel_preserves_length(self, rng):
         bits = rng.integers(0, 2, size=32).astype(np.uint8)
@@ -149,11 +178,6 @@ class TestBpsk:
 
 
 class TestChannelStatistics:
-    def test_fade_power_is_unit(self, rng):
-        symbols = np.ones(200_000)
-        _, fades = phy.rayleigh_awgn(symbols, phy.ChannelParams(100.0, rng))
-        assert np.mean(fades ** 2) == pytest.approx(1.0, abs=0.01)
-
     def test_analytic_ber_values(self):
         assert phy.analytic_ber(0.0) == pytest.approx(0.146447, abs=1e-6)
         assert phy.analytic_ber(10.0) == pytest.approx(0.0232687, abs=1e-6)

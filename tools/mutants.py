@@ -1,0 +1,158 @@
+"""Mutation check: every planted fault must make its tests fail.
+
+Run from anywhere:  python3 tools/mutants.py
+
+Each mutant is (file, exact old text, new text, test selector). The script
+copies the tree's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, replaces the old text, which must occur exactly once, and runs
+pytest on the selector there; the mutant is caught when a test fails
+(pytest's exit status 1, not a collection or usage error). Old
+text that is missing or repeated makes the mutant stale, and that is an
+error too, so a refactor must carry its mutants along. The unmutated tree
+must pass every selector; its runs go first. Runs go two at a time; the exit status is 0
+when the clean tree passes and every mutant is caught.
+
+This file is not collected by the Tier-1 suite (``testpaths = ["tests"]``).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKERS = min(2, os.cpu_count() or 1)
+
+PHY = "src/semcom/phy.py"
+ENCODER = "src/semcom/encoder.py"
+ORACLE = ("tests/test_link_oracle.py",)
+CRITERION_3 = ("tests/test_acceptance.py::test_criterion_3_channel_ber",)
+CHANNEL = ("tests/test_phy.py::TestChannelReference",)
+LABELLER = ("tests/test_encoder.py::TestLargestComponent",)
+WITNESS = ("tests/test_encoder.py", "-k", "Witness")
+SLACK = ("tests/test_encoder.py::TestConsistencySlack",)
+RULE = ("tests/test_encoder.py::TestRoundCertificateRule",)
+FIT = ("tests/test_encoder.py::TestFitShapeReference",)
+
+BPSK_MAP = "x = 1.0 - 2.0 * np.asarray(bits, dtype=float)"
+NOISE = "math.sqrt(0.5 / _linear_snr(params.snr_db))"
+FADES_THEN_NOISE = """\
+        fades = params.rng.rayleigh(scale=math.sqrt(0.5), size=x.shape)
+        x *= fades
+        x += params.rng.normal(0.0, math.sqrt(0.5 / _linear_snr(params.snr_db)),
+                               size=x.shape)
+"""
+NOISE_THEN_FADES = """\
+        noise = params.rng.normal(0.0, math.sqrt(0.5 / _linear_snr(params.snr_db)),
+                                  size=x.shape)
+        fades = params.rng.rayleigh(scale=math.sqrt(0.5), size=x.shape)
+        x *= fades
+        x += noise
+"""
+UNION_BOTH_WAYS = """\
+            elif j > x:
+                parent[j] = x
+                components -= 1
+"""
+LARGEST = "root == np.bincount(root, weights=lengths).argmax()"
+LAST_LARGEST = "root == (lambda c: c.size - 1 - c[::-1].argmax())(np.bincount(root, weights=lengths))"
+
+#: (name, file, old text, new text, pytest arguments)
+MUTANTS = [
+    # the link
+    ("LSB-first unpack", PHY, "1 << np.arange(spec.n_b - 1, -1, -1)",
+     "1 << np.arange(spec.n_b)", ORACLE),
+    ("noise variance 1/snr (oracle)", PHY, NOISE, NOISE.replace("0.5 /", "1.0 /"), ORACLE),
+    ("noise variance 1/snr (criterion 3)", PHY, NOISE, NOISE.replace("0.5 /", "1.0 /"),
+     CRITERION_3),
+    ("noise variance 1/snr (channel)", PHY, NOISE, NOISE.replace("0.5 /", "1.0 /"), CHANNEL),
+    ("noise drawn before fades", PHY, FADES_THEN_NOISE, NOISE_THEN_FADES, CHANNEL),
+    ("bit map flipped", PHY, BPSK_MAP, "x = 2.0 * np.asarray(bits, dtype=float) - 1.0", CHANNEL),
+    ("map worked in place on the caller's bits", PHY, BPSK_MAP,
+     "x = np.asarray(bits, dtype=float); x *= -2.0; x += 1.0", CHANNEL),
+    ("dequantize to cell edges", PHY, "lo + (indices + 0.5) * (hi - lo) / levels",
+     "lo + indices * (hi - lo) / levels", ORACLE),
+    # the labeller
+    ("union only towards earlier runs", ENCODER, UNION_BOTH_WAYS, "", LABELLER),
+    ("last of equal sizes", ENCODER, LARGEST, LAST_LARGEST, LABELLER),
+    ("diagonal touches join", ENCODER, "hi = np.searchsorted(starts, stops - width)",
+     'hi = np.searchsorted(starts, stops - width, side="right")', LABELLER),
+    ("scipy imported again", ENCODER, "import numpy as np\n",
+     "import numpy as np\nfrom scipy import ndimage  # noqa: F401\n",
+     ("tests/test_dependencies.py",)),
+    # the certificate
+    ("non-strict hull test", ENCODER, "> e[:, 1] * (by - a[:, 0])",
+     ">= e[:, 1] * (by - a[:, 0])", WITNESS),
+    ("exit at beat - 0.05", ENCODER, "if floor > beat:", "if floor > beat - 0.05:", SLACK),
+    ("beat fixed at 0", ENCODER, "beat = max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack)",
+     "beat = 0.0", FIT),
+    ("witness asked before a positive c", ENCODER,
+     "if circle_slack <= 0 and _convexity_witness(mask, band):",
+     "if _convexity_witness(mask, band):", RULE),
+]
+
+
+def copy_tree(dest: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name), ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def mutated(path: str, old: str, new: str) -> str:
+    """The file's text with the old text replaced; a stale mutant is an error."""
+    with open(os.path.join(ROOT, path)) as f:
+        text = f.read()
+    if text.count(old) != 1:
+        raise RuntimeError(f"stale mutant: {path} holds its old text "
+                           f"{text.count(old)} times, not once: {old!r}")
+    return text.replace(old, new)
+
+
+def run(selector: tuple, mutant: tuple | None = None) -> tuple[int, float]:
+    """pytest's exit status on the selector in a copy of the tree (mutated
+    if a (file, old, new) is given), and the seconds it took."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as dest:
+        copy_tree(dest)
+        if mutant:
+            with open(os.path.join(dest, mutant[0]), "w") as f:
+                f.write(mutated(*mutant))
+        env = dict(os.environ, PYTHONPATH=os.path.join(dest, "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *selector], cwd=dest, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+    return done.returncode, time.perf_counter() - start
+
+
+def main() -> int:
+    start = time.perf_counter()
+    for mutant in MUTANTS:  # refuse stale mutants before any run
+        mutated(*mutant[1:4])
+    selectors = sorted(set(m[4] for m in MUTANTS))
+    with ThreadPoolExecutor(WORKERS) as pool:
+        clean = list(pool.map(run, selectors))
+        caught = list(pool.map(lambda m: run(m[4], m[1:4]), MUTANTS))
+    ok = True
+    for selector, (status, seconds) in zip(selectors, clean):
+        verdict = "pass" if status == 0 else f"FAIL({status})"
+        print(f"clean   {verdict:9} {seconds:5.1f}s  {' '.join(selector)}")
+        ok = ok and status == 0
+    for mutant, (status, seconds) in zip(MUTANTS, caught):
+        verdict = {0: "SURVIVED", 1: "caught"}.get(status, f"ERROR({status})")
+        print(f"mutant  {verdict:9} {seconds:5.1f}s  {mutant[0]}: {' '.join(mutant[4])}")
+        ok = ok and status == 1
+    print(f"{'all mutants caught, clean tree passes' if ok else 'FAILED'} "
+          f"in {time.perf_counter() - start:.1f}s on {WORKERS} workers")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
