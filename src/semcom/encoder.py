@@ -1,7 +1,8 @@
 """Analytic semantic encoder: image -> point in the conceptual space.
 
 Segmentation by saturation threshold, color by circular/arithmetic means
-over the foreground, shape ratio from the radial profile of the boundary.
+over the foreground, shape ratio from a boundary sector check, a template
+fit and an exact-consistency certificate (see fit_shape).
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def boundary_mask(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-#: Candidate shapes the radial model is fitted against: the concept table's
+#: Candidate shapes the template fit scores: the concept table's
 #: polygons by side count, then the circle (None); the order settles ties.
 CANDIDATE_SHAPES = (*sorted({c.n_sides for c in CONCEPTS} - {None}), None)
 
@@ -123,15 +124,10 @@ CANDIDATE_SHAPES = (*sorted({c.n_sides for c in CONCEPTS} - {None}), None)
 _OCTAGON_SLACK_FACTOR = 2.5
 
 
-def _sector_occupancy(mask: np.ndarray) -> int:
-    """Number of angular sectors around the centroid holding a boundary pixel."""
-    ys, xs = np.nonzero(mask)
-    cy = ys.mean()
-    cx = xs.mean()
-    by, bx = np.nonzero(boundary_mask(mask))
-    angles = np.arctan2(by - cy, bx - cx) % (2.0 * math.pi)
-    sectors = np.minimum((angles / (2.0 * math.pi) * N_SECTORS).astype(int),
-                         N_SECTORS - 1)
+def _sector_occupancy(angles: np.ndarray) -> int:
+    """Number of angular sectors holding a boundary pixel, from their angles."""
+    sectors = np.minimum((angles % (2.0 * math.pi) / (2.0 * math.pi) * N_SECTORS)
+                         .astype(int), N_SECTORS - 1)
     return int(np.unique(sectors).size)
 
 
@@ -387,11 +383,15 @@ def fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     all when a background pixel inside the foreground's convex hull shows
     that neither family reproduces the mask.
 
-    The fit depends on the mask's content alone, so it is memoized on the
-    mask's shape and packed bits: a scene encoded again (the rate search
-    encodes each scene once per n_b) reuses its fit. The cache keeps its
-    own copy of the bits and the result is a tuple, so neither changes
-    when the caller's array does.
+    A mask whose boundary pixels hold fewer than MIN_NONEMPTY_SECTORS
+    angular sectors around the centroid raises DegenerateShapeError.
+
+    That check and the fit depend on the mask's content alone, so the whole
+    estimate is memoized on the mask's shape and packed bits: a scene
+    encoded again (the rate search encodes each scene once per n_b) reuses
+    it, and a refused mask takes no entry. The cache keeps its own copy of
+    the bits and the result is a tuple, so neither changes when the
+    caller's array does.
     """
     return _fit_shape_cached(mask.shape, np.packbits(mask).tobytes())
 
@@ -411,6 +411,9 @@ def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     gx, gy = pixel_grid(mask.shape)
     dist = np.hypot(gx - cx, gy - cy)
     angles = np.arctan2(gy - cy, gx - cx)
+    if _sector_occupancy(angles[boundary_mask(mask).ravel()]) < MIN_NONEMPTY_SECTORS:
+        raise DegenerateShapeError(
+            f"fewer than {MIN_NONEMPTY_SECTORS} populated boundary sectors")
     flat = mask.ravel()
     area = float(flat.sum())
 
@@ -482,11 +485,7 @@ def estimate_shape_ratio(mask: np.ndarray) -> float:
     The ratio of the best-fitting regular shape; exact values 2, sqrt(2),
     1/cos(pi/8), and 1 for the four shapes in play.
     """
-    if _sector_occupancy(mask) < MIN_NONEMPTY_SECTORS:
-        raise DegenerateShapeError(
-            f"fewer than {MIN_NONEMPTY_SECTORS} populated boundary sectors")
-    n, _, _ = fit_shape(mask)
-    return polygon_ratio(n)
+    return polygon_ratio(fit_shape(mask)[0])
 
 
 def encode(img: np.ndarray) -> SemanticPoint:

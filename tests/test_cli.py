@@ -242,6 +242,16 @@ class TestInspect:
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_thin_bar_is_refused_by_the_sector_check(self, tmp_path, capsys):
+        img = np.full((25, 25, 3), 0.5)
+        img[12, 2:23] = (1.0, 0.0, 0.0)  # a one-pixel-high bar
+        path = str(tmp_path / "bar.ppm")
+        scenegen.write_ppm(img, path)
+        assert main(["inspect", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "populated boundary sectors" in err
+
     def test_non_square_image(self, tmp_path, capsys, rng):
         img = np.full((30, 40, 3), 0.5)
         spec = scenegen.sample_spec("red-triangle", rng)

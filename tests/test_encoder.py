@@ -725,14 +725,16 @@ class TestFitShapeReference:
             assert encoder._fit_shape(mask) == reference_fit_shape(mask)
 
 
+@pytest.fixture
+def empty_fit_cache():
+    encoder._fit_shape_cached.cache_clear()
+    yield
+    encoder._fit_shape_cached.cache_clear()
+
+
+@pytest.mark.usefixtures("empty_fit_cache")
 class TestFitShapeMemo:
     """fit_shape's memo returns exactly what the fit itself returns."""
-
-    @pytest.fixture(autouse=True)
-    def empty_cache(self):
-        encoder._fit_shape_cached.cache_clear()
-        yield
-        encoder._fit_shape_cached.cache_clear()
 
     def test_equals_uncached_fit(self, masks):
         for mask in masks:
@@ -746,9 +748,10 @@ class TestFitShapeMemo:
         row = square.reshape(1, 25)
         assert np.packbits(square).tobytes() == np.packbits(row).tobytes()
         encoder.fit_shape(square)
-        encoder.fit_shape(row)
+        with pytest.raises(DegenerateShapeError):  # a row spans 2 sectors
+            encoder.fit_shape(row)
         info = encoder._fit_shape_cached.cache_info()
-        assert info.currsize == 2 and info.hits == 0
+        assert info.currsize == 1 and info.hits == 0
 
     def test_caller_changing_its_array_does_not_reach_the_cache(self, masks):
         mask = masks[0].copy()
@@ -767,3 +770,100 @@ class TestFitShapeMemo:
         info = encoder._fit_shape_cached.cache_info()
         assert info.misses == 2 * encoder.FIT_CACHE_SIZE
         assert info.currsize == encoder.FIT_CACHE_SIZE
+
+
+def reference_sector_occupancy(mask):
+    """The sector count from the mask alone: its own centroid, then the
+    angle of each boundary pixel around it."""
+    ys, xs = np.nonzero(mask)
+    cy = ys.mean()
+    cx = xs.mean()
+    by, bx = np.nonzero(encoder.boundary_mask(mask))
+    angles = np.arctan2(by - cy, bx - cx) % (2.0 * math.pi)
+    sectors = np.minimum((angles / (2.0 * math.pi) * encoder.N_SECTORS).astype(int),
+                         encoder.N_SECTORS - 1)
+    return int(np.unique(sectors).size)
+
+
+def counting_sector_occupancy(counts):
+    """encoder._sector_occupancy, appending each count it returns to counts."""
+    real = encoder._sector_occupancy
+
+    def spy(angles):
+        counts.append(real(angles))
+        return counts[-1]
+    return spy
+
+
+def drawn_mask(shape, *boxes):
+    """A mask of the given shape with each (rows, columns) slice pair set."""
+    mask = np.zeros(shape, dtype=bool)
+    for rows, cols in boxes:
+        mask[rows, cols] = True
+    return mask
+
+
+#: Hand-made masks on both sides of the rule, with their sector counts.
+DRAWN_MASKS = [
+    (drawn_mask((25, 25), (12, slice(2, 23))), 2),  # a one-pixel-high bar
+    (drawn_mask((1, 25), (0, slice(0, 25))), 2),  # a one-row raster
+    (drawn_mask((25, 25), (slice(2, 6), 2)), 2),  # a one-pixel-wide column
+    (drawn_mask((25, 25), (slice(2, 5), 2), (4, slice(2, 20))), 7),  # a thin L
+    # a thick L: 7 sectors on its boundary, 8 over all its pixels
+    (drawn_mask((7, 7), (slice(2, 5), slice(2, 4)), (slice(3, 5), slice(2, 5))), 7),
+    (drawn_mask((25, 25), (2, slice(4, 21)), (slice(2, 6), 12)), 8),  # a thin T
+    (drawn_mask((7, 7), (slice(2, 5), slice(2, 5))), 8),  # a 3x3 square
+    (drawn_mask((25, 25), (slice(5, 7), slice(3, 14))), 14),  # a two-pixel bar
+]
+
+
+@pytest.mark.usefixtures("empty_fit_cache")
+class TestSectorCheck:
+    """fit_shape refuses a mask exactly where the boundary's own sector count
+    falls short, inside the memo: a refusal takes no entry, and a repeated
+    mask is checked once."""
+
+    def check(self, mask):
+        expected = reference_sector_occupancy(mask)
+        counts = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoder, "_sector_occupancy", counting_sector_occupancy(counts))
+            if expected < encoder.MIN_NONEMPTY_SECTORS:
+                with pytest.raises(DegenerateShapeError, match="boundary sectors"):
+                    encoder.fit_shape(mask)
+            else:
+                assert encoder.fit_shape(mask) == encoder._fit_shape(mask)
+        assert counts and set(counts) == {expected}
+        return expected
+
+    def test_seeded_masks(self, masks):
+        for mask in masks:
+            self.check(mask)
+
+    @pytest.mark.parametrize("mask, count", DRAWN_MASKS)
+    def test_drawn_masks(self, mask, count):
+        assert self.check(mask) == count
+
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                             max_side=12)).filter(np.any))
+    @settings(max_examples=60, deadline=None)
+    def test_small_masks(self, mask):
+        self.check(mask)
+
+    def test_refused_mask_takes_no_entry(self, masks):
+        encoder.fit_shape(masks[0])
+        bar = DRAWN_MASKS[0][0]
+        for misses in (2, 3):  # refused afresh on every call
+            with pytest.raises(DegenerateShapeError):
+                encoder.fit_shape(bar)
+            info = encoder._fit_shape_cached.cache_info()
+            assert info.currsize == 1 and info.misses == misses
+
+    def test_encoding_again_checks_sectors_once(self, monkeypatch):
+        rng = harness.trial_rng(5, 0)
+        img = scenegen.render(scenegen.sample_spec("red-circle", rng), rng)
+        counts = []
+        monkeypatch.setattr(encoder, "_sector_occupancy",
+                            counting_sector_occupancy(counts))
+        assert encoder.encode(img) == encoder.encode(img)
+        assert len(counts) == 1

@@ -38,6 +38,7 @@ WITNESS = ("tests/test_encoder.py", "-k", "Witness")
 SLACK = ("tests/test_encoder.py::TestConsistencySlack",)
 RULE = ("tests/test_encoder.py::TestRoundCertificateRule",)
 FIT = ("tests/test_encoder.py::TestFitShapeReference",)
+SECTORS = ("tests/test_encoder.py::TestSectorCheck",)
 
 BPSK_MAP = "x = 1.0 - 2.0 * np.asarray(bits, dtype=float)"
 NOISE = "math.sqrt(0.5 / _linear_snr(params.snr_db))"
@@ -94,6 +95,12 @@ MUTANTS = [
     ("witness asked before a positive c", ENCODER,
      "if circle_slack <= 0 and _convexity_witness(mask, band):",
      "if _convexity_witness(mask, band):", RULE),
+    # the sector check
+    ("sectors of every foreground pixel", ENCODER,
+     "_sector_occupancy(angles[boundary_mask(mask).ravel()])",
+     "_sector_occupancy(angles[mask.ravel()])", SECTORS),
+    ("refused at exactly the minimum", ENCODER, ") < MIN_NONEMPTY_SECTORS:",
+     ") <= MIN_NONEMPTY_SECTORS:", SECTORS),
 ]
 
 
