@@ -219,49 +219,37 @@ def _polygon_slacks(bx: np.ndarray, by: np.ndarray, fx: np.ndarray,
 
 
 def _convexity_witness(mask: np.ndarray, band: np.ndarray) -> bool:
-    """Whether a background pixel of the certificate's band lies strictly
-    inside the convex hull of the band's foreground pixels.
+    """Whether a background pixel of the certificate's band lies between two
+    foreground pixels of the band in its row or column, other than the
+    first and last rows (columns) holding band foreground.
 
     If one does, no circle and no octagon reproduces the band at any center
     or rotation, so both slacks are negative. For both families u is a
-    convex function of the pixel (|p - c|, and max_k <p - c, n_k>) that
-    grows along every ray from c, so at a point q strictly inside the hull
-    it is below its maximum over the foreground: min(u over background)
-    <= u(q) < max(u over foreground). A pixel strictly inside lies at least
-    1/L from a hull edge of length L, far beyond the float error of u.
+    convex function of the pixel (|p - c|, and max_k <p - c, n_k>), so at
+    such a pixel q, min(u over background) <= u(q) <= max(u over
+    foreground). Equality needs u constant along the row, as on an octagon
+    face, which would bound the band's foreground: the row would be its
+    first or last. There a slack of 0 can round to a positive float, so
+    those rows are left out. On the others u(q) is below the maximum by far
+    more than the float error: at least sin(pi/144) for the octagon, the
+    least slope along a row of an edge normal of its rotation grid, and
+    about 1/(2d) for the circle at distance d from the row.
 
-    The hull is that of each row's outermost foreground pixels, in (row,
-    column) coordinates: the lower chain runs down the rows' first pixels,
-    the upper back up their last. All arithmetic is on integers, so
-    "strictly inside" is exact.
+    The counts of band foreground along each row (of the mask, then of its
+    transpose) are integers, so the test is exact: a background pixel has
+    foreground on both sides when its count is above 0 and below its row's
+    total.
     """
-    flat = mask.ravel()
-    w = mask.shape[1]
-    fg = np.flatnonzero(band & flat)  # in raster order
-    by, bx = np.divmod(np.flatnonzero(band & ~flat), w)
-    cut = np.flatnonzero(np.diff(fg // w)) + 1  # where each later row starts
-    ys, xs = np.divmod(np.concatenate([fg[:1], fg[cut], fg[cut - 1], fg[-1:]]), w)
-    ends = list(zip(ys.tolist(), xs.tolist()))
-    first, last = ends[:cut.size + 1], ends[cut.size + 1:]
-    hull = _chain(first + last[-1:])[:-1] + _chain(last[::-1] + first[:1])[:-1]
-    if len(hull) < 3:
-        return False
-    hull = np.array(hull + hull[:1])
-    a = hull[:-1, :, None]
-    e = hull[1:, :, None] - a
-    return bool((e[:, 0] * (bx - a[:, 1]) > e[:, 1] * (by - a[:, 0])).all(axis=0).any())
-
-
-def _chain(points: list) -> list:
-    """Monotone-chain half hull of (row, column) points in scan order: it
-    keeps only strict turns one way, so collinear and repeated points drop out."""
-    chain: list = []
-    for y, x in points:
-        while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (x - chain[-2][1])
-                                   <= (chain[-1][1] - chain[-2][1]) * (y - chain[-2][0])):
-            chain.pop()
-        chain.append((y, x))
-    return chain
+    band = band.reshape(mask.shape)
+    fg = band & mask
+    gap = band & ~mask
+    for f, g in ((fg, gap), (fg.T, gap.T)):
+        seen = np.cumsum(f, axis=1)
+        rows = np.flatnonzero(seen[:, -1])
+        between = g & (seen > 0) & (seen < seen[:, -1:])
+        if between[rows[0] + 1:rows[-1]].any():
+            return True
+    return False
 
 
 def _consistency_slack(mask: np.ndarray, band: np.ndarray, cx0: float, cy0: float,
@@ -380,8 +368,9 @@ def fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     overturns the template's pick, the tuple keeps the template's
     circumradius and rotation, except that a circle's rotation is 0. The
     octagon's search runs only as far as the decision needs, and not at
-    all when a background pixel inside the foreground's convex hull shows
-    that neither family reproduces the mask.
+    all when a background pixel between two foreground pixels of its row
+    or column (not the outline's first or last) shows that neither family
+    reproduces the mask.
 
     A mask whose boundary pixels hold fewer than MIN_NONEMPTY_SECTORS
     angular sectors around the centroid raises DegenerateShapeError.

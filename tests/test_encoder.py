@@ -565,29 +565,21 @@ class TestRoundCertificateRule:
 
 
 def reference_witness(mask):
-    """Whether a background band pixel lies strictly inside the convex hull
-    of the band's foreground, by brute force in integers: strictly on the
-    inner side of every line through two foreground pixels that has the
-    whole foreground on that side or on it. The rows' outermost foreground
-    pixels span the same hull, so only they are paired."""
+    """Whether a background band pixel has foreground band pixels on both
+    sides of it in its row, or in its column, by brute force. Rows are
+    looked at only strictly between the first and last rows holding band
+    foreground, and columns likewise."""
     _, _, _, _, band = reference_band(mask)
     band = band.reshape(mask.shape)
     fg = band & mask
     rows = np.flatnonzero(fg.any(axis=1))
-    cols = fg[rows].argmax(axis=1), mask.shape[1] - 1 - fg[rows, ::-1].argmax(axis=1)
-    pts = np.unique(np.concatenate([np.stack([rows, c], axis=1) for c in cols]), axis=0)
-    if len(pts) < 3:
-        return False
-    a = pts[:, None, None, :]
-    e = pts[None, :, None, :] - a  # (a, b) pairs
-
-    def cross(q):
-        return e[..., 0] * (q[..., 1] - a[..., 1]) - e[..., 1] * (q[..., 0] - a[..., 0])
-
-    supporting = (cross(pts[None, None]) >= 0).all(axis=2) & (e != 0).any(axis=3)[..., 0]
-    background = np.argwhere(band & ~mask)
-    inside = cross(background[None, None])[supporting] > 0
-    return bool(inside.all(axis=0).any())
+    cols = np.flatnonzero(fg.any(axis=0))
+    for y, x in np.argwhere(band & ~mask):
+        if rows[0] < y < rows[-1] and fg[y, :x].any() and fg[y, x + 1:].any():
+            return True
+        if cols[0] < x < cols[-1] and fg[:y, x].any() and fg[y + 1:, x].any():
+            return True
+    return False
 
 
 def flipped_shape_mask(seed, concept, flip):
@@ -609,9 +601,45 @@ any_mask = st.one_of(
 ).filter(lambda m: m.sum() >= encoder.MIN_FOREGROUND_PIXELS)
 
 
+def fit_or_refusal(mask):
+    """encoder._fit_shape's tuple for the mask, or the error it raises."""
+    try:
+        return encoder._fit_shape(mask)
+    except DegenerateShapeError as error:
+        return type(error)
+
+
+def pixel_mask(top, left, rows):
+    """A 25x25 mask holding the '#' pixels of rows, drawn from (top, left)."""
+    mask = np.zeros((25, 25), dtype=bool)
+    mask[top:top + len(rows), left:left + len(rows[0])] = [
+        [c == "#" for c in row] for row in rows]
+    return mask
+
+
+def disk(cx, cy, radius):
+    """The 25x25 mask of the pixel centres within radius of (cx, cy)."""
+    xs, ys = np.meshgrid(np.arange(25.0), np.arange(25.0))
+    return np.hypot(xs - cx, ys - cy) <= radius
+
+
+#: Round masks the witness leaves to the octagon search. The first is an
+#: octagon with a gap in its top row, which an octagon face runs along:
+#: there the octagon's slack is 0 in exact arithmetic and 4.4e-16 in
+#: floats, so the octagon beats the circle's template pick. The second is
+#: a disk with a diagonal bite, whose bitten pixels lie inside the
+#: foreground's convex hull but have foreground on one side only.
+EDGE_MASKS = [
+    pixel_mask(9, 9, ["..#.#.", ".#####", "######", "######", "######", ".#####"]),
+    disk(12.0, 12.0, 6.0) & ~disk(7.25, 16.25, 1.6),
+]
+
+
 class TestConvexityWitness:
-    """A witness fires exactly for a background band pixel strictly inside
-    the foreground's hull, and only where neither family fits the band."""
+    """A witness fires exactly for a background band pixel between two
+    foreground band pixels of a row or column that is not the band
+    foreground's first or last, only where neither family fits the band,
+    and never changes a fit."""
 
     def check(self, mask):
         fired = convexity_witness(mask)
@@ -631,6 +659,26 @@ class TestConvexityWitness:
     @settings(max_examples=40, deadline=None)
     def test_arbitrary_masks(self, mask):
         self.check(mask)
+
+    @pytest.mark.parametrize("mask", EDGE_MASKS, ids=["top-row gap", "diagonal bite"])
+    def test_edge_masks(self, mask):
+        assert not self.check(mask)
+        assert encoder._fit_shape(mask) == reference_fit_shape(mask)
+
+    def test_top_row_gap_is_an_octagon(self):
+        # its octagon slack is a rounded 0 that the decision reads as positive
+        mask = EDGE_MASKS[0]
+        assert 0 < reference_consistency_slack(mask, 8) < 1e-12
+        assert encoder._fit_shape(mask)[0] == 8
+
+    @given(any_mask)
+    @example(EDGE_MASKS[0])  # the octagon overturns a circle pick
+    @settings(max_examples=40, deadline=None)
+    def test_fit_without_the_witness(self, mask):
+        fit = fit_or_refusal(mask)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoder, "_convexity_witness", lambda mask, band: False)
+            assert fit == fit_or_refusal(mask)
 
 
 def reference_model_radius(angles, n, radius, rotation):

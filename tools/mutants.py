@@ -87,8 +87,12 @@ MUTANTS = [
      "import numpy as np\nfrom scipy import ndimage  # noqa: F401\n",
      ("tests/test_dependencies.py",)),
     # the certificate
-    ("non-strict hull test", ENCODER, "> e[:, 1] * (by - a[:, 0])",
-     ">= e[:, 1] * (by - a[:, 0])", WITNESS),
+    ("foreground on one side is enough", ENCODER, "g & (seen > 0) & (seen < seen[:, -1:])",
+     "g & (seen > 0)", WITNESS),
+    ("rows only", ENCODER, "for f, g in ((fg, gap), (fg.T, gap.T)):",
+     "for f, g in ((fg, gap),):", WITNESS),
+    ("first and last rows scanned", ENCODER, "between[rows[0] + 1:rows[-1]].any()",
+     "between.any()", WITNESS),
     ("exit at beat - 0.05", ENCODER, "if floor > beat:", "if floor > beat - 0.05:", SLACK),
     ("beat fixed at 0", ENCODER, "beat = max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack)",
      "beat = 0.0", FIT),
