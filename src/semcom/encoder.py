@@ -220,20 +220,16 @@ def _polygon_slacks(bx: np.ndarray, by: np.ndarray, fx: np.ndarray,
 
 def _convexity_witness(mask: np.ndarray, band: np.ndarray) -> bool:
     """Whether a background pixel of the certificate's band lies between two
-    foreground pixels of the band in its row or column, other than the
-    first and last rows (columns) holding band foreground.
+    foreground pixels of the band in its row or column.
 
-    If one does, no circle and no octagon reproduces the band at any center
-    or rotation, so both slacks are negative. For both families u is a
+    If one does, no circle and no octagon reproduces the band with a
+    positive margin at any center or rotation. For both families u is a
     convex function of the pixel (|p - c|, and max_k <p - c, n_k>), so at
     such a pixel q, min(u over background) <= u(q) <= max(u over
-    foreground). Equality needs u constant along the row, as on an octagon
-    face, which would bound the band's foreground: the row would be its
-    first or last. There a slack of 0 can round to a positive float, so
-    those rows are left out. On the others u(q) is below the maximum by far
-    more than the float error: at least sin(pi/144) for the octagon, the
-    least slope along a row of an edge normal of its rotation grid, and
-    about 1/(2d) for the circle at distance d from the row.
+    foreground): both slacks are at most 0. Equality needs u constant along
+    the row, as on an octagon face, and there the octagon's slack of 0 can
+    round to a float a few ulp above 0, far below the _PRUNE_EPS by which
+    fit_shape's octagon must win.
 
     The counts of band foreground along each row (of the mask, then of its
     transpose) are integers, so the test is exact: a background pixel has
@@ -245,9 +241,7 @@ def _convexity_witness(mask: np.ndarray, band: np.ndarray) -> bool:
     gap = band & ~mask
     for f, g in ((fg, gap), (fg.T, gap.T)):
         seen = np.cumsum(f, axis=1)
-        rows = np.flatnonzero(seen[:, -1])
-        between = g & (seen > 0) & (seen < seen[:, -1:])
-        if between[rows[0] + 1:rows[-1]].any():
+        if (g & (seen > 0) & (seen < seen[:, -1:])).any():
             return True
     return False
 
@@ -367,10 +361,13 @@ def fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     only a few corner pixels at small radii. When the certificate
     overturns the template's pick, the tuple keeps the template's
     circumradius and rotation, except that a circle's rotation is 0. The
+    octagon must win by a margin of _PRUNE_EPS, so a slack that is 0 in
+    exact arithmetic and rounds above it does not overturn a pick. The
     octagon's search runs only as far as the decision needs, and not at
-    all when a background pixel between two foreground pixels of its row
-    or column (not the outline's first or last) shows that neither family
-    reproduces the mask.
+    all where it cannot move the tuple: when the circle's slack is not
+    positive and the template already picked the octagon, or when a
+    background pixel between two foreground pixels of its row or column
+    shows that neither family reproduces the mask.
 
     A mask whose boundary pixels hold fewer than MIN_NONEMPTY_SECTORS
     angular sectors around the centroid raises DegenerateShapeError.
@@ -455,12 +452,14 @@ def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
         rmax = dist[flat].max()
         band = (dist >= rmax - 3.2) & (dist <= rmax + 3.2)
         circle_slack = _consistency_slack(mask, band, cx, cy, None)
-        if circle_slack <= 0 and _convexity_witness(mask, band):
-            return best  # both slacks are negative: the template's pick stands
+        if circle_slack <= 0 and (best[0] == 8 or _convexity_witness(mask, band)):
+            # the octagon can only keep the template's pick, or cannot win
+            return best
         # the octagon family matches spuriously more often, so it must win by a
-        # clear margin (any positive slack wins where the circle's is <= 0);
-        # the search need only tell whether its slack beats that margin
-        beat = max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack)
+        # clear margin (any slack above _PRUNE_EPS wins where the circle's is
+        # <= 0, so a rounded 0 does not); the search need only tell whether its
+        # slack beats that margin
+        beat = max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack) + _PRUNE_EPS
         if _consistency_slack(mask, band, cx, cy, 8, beat=beat) > beat:
             best = (8, best[1], best[2])
         elif circle_slack > 0:

@@ -221,8 +221,11 @@ def _run_points(trial_fn, points, trials: int, base_seed: int,
     Trial-major: each trial's scene is rendered once for all its points,
     and its later points find its fit in encoder's memo.
     Rows come back in input order from map and pool.map alike, so every
-    point sums its outcomes in trial-index order whatever the worker count;
-    one contiguous chunk per worker only cuts inter-process round trips.
+    point sums its outcomes in trial-index order whatever the worker count.
+    A pool takes about four contiguous chunks per worker: round scenes cost
+    several times more than the others, so one chunk per worker would
+    leave a worker idle while the other finishes, and smaller chunks would
+    add inter-process round trips.
     """
     run = functools.partial(_trial_outcomes, trial_fn, points, base_seed)
     workers = min(workers, trials, os.cpu_count() or 1)  # more would not run faster
@@ -231,7 +234,7 @@ def _run_points(trial_fn, points, trials: int, base_seed: int,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run, range(trials),
-                                 chunksize=math.ceil(trials / workers)))
+                                 chunksize=math.ceil(trials / (4 * workers))))
     aggs = [Aggregate() for _ in points]
     for row in rows:
         for agg, outcome in zip(aggs, row):

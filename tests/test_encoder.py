@@ -445,7 +445,7 @@ class TestCertificateBand:
 
         monkeypatch.setattr(encoder, "_consistency_slack", recorded_slack)
         monkeypatch.setattr(encoder, "_convexity_witness", recorded_witness)
-        for mask in masks:
+        for mask in [*masks, *EDGE_MASKS, *structured_masks()]:
             encoder._fit_shape(mask)
         assert len(calls) > 50
         assert any(centroid is None for _, _, centroid in calls)  # the witness ran
@@ -475,12 +475,14 @@ class TestConsistencySlack:
 
     @pytest.mark.parametrize("n", [None, 8])
     def test_threshold_exit(self, masks, n):
-        # beat -inf exits at the middle point; 2.5 * c is fit_shape's margin
+        # beat -inf exits at the middle point; the last is fit_shape's margin
         for mask in masks:
             full = certificate_slack(mask, n)
             circle = certificate_slack(mask, None)
             for beat in (-math.inf, 0.0, 0.1, 0.25,
-                         encoder._OCTAGON_SLACK_FACTOR * circle):
+                         encoder._OCTAGON_SLACK_FACTOR * circle,
+                         max(0.0, encoder._OCTAGON_SLACK_FACTOR * circle)
+                         + encoder._PRUNE_EPS):
                 got = certificate_slack(mask, n, beat=beat)
                 assert (got > beat) == (full > beat), (beat, got, full)
                 if full <= beat:
@@ -498,20 +500,27 @@ class TestConsistencySlack:
 
 
 def reference_round_pick(template, circle_slack, octagon_slack):
-    """The certificate decision as four branches, before it became one rule."""
+    """The certificate decision as four branches, before it became one rule.
+
+    The octagon counts as fitting only with a slack above _PRUNE_EPS, and
+    beats a fitting circle only by that much more than the tie-break.
+    """
     _, radius, rot = template
-    if circle_slack > 0 and octagon_slack <= 0:
+    eps = encoder._PRUNE_EPS
+    if circle_slack > 0 and octagon_slack <= eps:
         return (None, radius, 0.0)
-    if octagon_slack > 0 and circle_slack <= 0:
+    if octagon_slack > eps and circle_slack <= 0:
         return (8, radius, rot)
-    if circle_slack > 0 and octagon_slack > 0:
-        if octagon_slack > encoder._OCTAGON_SLACK_FACTOR * circle_slack:
+    if circle_slack > 0 and octagon_slack > eps:
+        if octagon_slack > encoder._OCTAGON_SLACK_FACTOR * circle_slack + eps:
             return (8, radius, rot)
         return (None, radius, 0.0)
     return template
 
 
-SLACKS = (-math.inf, -0.3, -0.0, 0.0, 0.1, 0.25, 0.2500001, 1.0)
+#: Slacks for the rule, among them a rounded 0 (EDGE_MASKS[0]'s octagon
+#: slack) and the margin itself, which must not win.
+SLACKS = (-math.inf, -0.3, -0.0, 0.0, 4.4e-16, 1e-9, 0.1, 0.25, 0.2500001, 1.0)
 
 
 class TestRoundCertificateRule:
@@ -519,7 +528,8 @@ class TestRoundCertificateRule:
 
     def test_every_slack_pair(self, masks, monkeypatch):
         # with no certificate the template's pick stands; with the witness off
-        # every slack pair reaches the rule, and the rule gets whole slacks
+        # every slack pair reaches the rule (or the octagon template's skip,
+        # which must agree with it), and the rule gets whole slacks
         monkeypatch.setattr(encoder, "_convexity_witness", lambda mask, band: False)
         monkeypatch.setattr(encoder, "_consistency_slack",
                             lambda mask, band, cx0, cy0, n, *, beat=math.inf: -math.inf)
@@ -546,38 +556,70 @@ class TestRoundCertificateRule:
             assert encoder._fit_shape(mask)[0] is None
 
     def test_witness_keeps_the_template(self, masks, monkeypatch):
-        # a witness proves both slacks negative, so it is asked only where the
-        # circle's is not positive, and then the template's pick stands
+        # a witness proves neither slack positive, so it is asked only where
+        # the circle's is not positive, and then the template's pick stands
         monkeypatch.setattr(encoder, "_convexity_witness", lambda mask, band: True)
-        mask = next(m for m in masks if encoder._fit_shape(m)[0] == 8)
         monkeypatch.setattr(encoder, "_consistency_slack",
                             lambda mask, band, cx0, cy0, n, *, beat=math.inf: -math.inf)
-        template = encoder._fit_shape(mask)
-        for c in SLACKS:
-            for o in SLACKS:
-                if c <= 0 < o:
-                    continue  # no witness exists for such a mask
-                monkeypatch.setattr(encoder, "_consistency_slack",
-                                    lambda mask, band, cx0, cy0, k, *, beat=math.inf,
-                                    c=c, o=o: c if k is None else o)
-                assert (encoder._fit_shape(mask)
-                        == reference_round_pick(template, c, o)), (c, o)
+        templates = {}
+        for mask in masks:
+            fit = encoder._fit_shape(mask)
+            templates.setdefault(fit[0], (mask, fit))
+        for n in (None, 8):
+            mask, template = templates[n]
+            for c in SLACKS:
+                for o in SLACKS:
+                    if c <= 0 and o > encoder._PRUNE_EPS:
+                        continue  # no witness exists for such a mask
+                    monkeypatch.setattr(encoder, "_consistency_slack",
+                                        lambda mask, band, cx0, cy0, k, *, beat=math.inf,
+                                        c=c, o=o: c if k is None else o)
+                    assert (encoder._fit_shape(mask)
+                            == reference_round_pick(template, c, o)), (n, c, o)
+
+    def test_octagon_template_without_a_fitting_circle_asks_nothing_more(
+            self, masks, monkeypatch):
+        # where the circle's slack is not positive, the octagon can only keep
+        # an octagon template's pick: no witness call and no octagon search
+        with monkeypatch.context() as patch:
+            patch.setattr(encoder, "_convexity_witness", lambda mask, band: False)
+            patch.setattr(encoder, "_consistency_slack",
+                          lambda mask, band, cx0, cy0, n, *, beat=math.inf: -math.inf)
+            templates = [encoder._fit_shape(mask) for mask in masks]
+        slack, witness = encoder._consistency_slack, encoder._convexity_witness
+        asked = []
+
+        def spied_slack(mask, band, cx0, cy0, n, **beat):
+            asked.append((n, slack(mask, band, cx0, cy0, n, **beat)))
+            return asked[-1][1]
+
+        def spied_witness(mask, band):
+            asked.append(("witness", witness(mask, band)))
+            return asked[-1][1]
+
+        monkeypatch.setattr(encoder, "_consistency_slack", spied_slack)
+        monkeypatch.setattr(encoder, "_convexity_witness", spied_witness)
+        skipped = 0
+        for mask, template in zip(masks, templates):
+            asked.clear()
+            fit = encoder._fit_shape(mask)
+            if template[0] == 8 and asked[0][1] <= 0:
+                skipped += 1
+                assert [n for n, _ in asked] == [None]
+                assert fit == template
+        assert skipped >= 3
 
 
 def reference_witness(mask):
     """Whether a background band pixel has foreground band pixels on both
-    sides of it in its row, or in its column, by brute force. Rows are
-    looked at only strictly between the first and last rows holding band
-    foreground, and columns likewise."""
+    sides of it in its row, or in its column, by brute force."""
     _, _, _, _, band = reference_band(mask)
     band = band.reshape(mask.shape)
     fg = band & mask
-    rows = np.flatnonzero(fg.any(axis=1))
-    cols = np.flatnonzero(fg.any(axis=0))
     for y, x in np.argwhere(band & ~mask):
-        if rows[0] < y < rows[-1] and fg[y, :x].any() and fg[y, x + 1:].any():
+        if fg[y, :x].any() and fg[y, x + 1:].any():
             return True
-        if cols[0] < x < cols[-1] and fg[:y, x].any() and fg[y + 1:, x].any():
+        if fg[:y, x].any() and fg[y + 1:, x].any():
             return True
     return False
 
@@ -623,12 +665,13 @@ def disk(cx, cy, radius):
     return np.hypot(xs - cx, ys - cy) <= radius
 
 
-#: Round masks the witness leaves to the octagon search. The first is an
-#: octagon with a gap in its top row, which an octagon face runs along:
-#: there the octagon's slack is 0 in exact arithmetic and 4.4e-16 in
-#: floats, so the octagon beats the circle's template pick. The second is
-#: a disk with a diagonal bite, whose bitten pixels lie inside the
-#: foreground's convex hull but have foreground on one side only.
+#: Round masks at the witness's edge. The first is an octagon with a gap
+#: in its top row, which an octagon face runs along: there the witness
+#: fires, yet the octagon's slack is 0 in exact arithmetic and 4.4e-16 in
+#: floats, which the margin keeps from beating the circle's template pick.
+#: The second is a disk with a diagonal bite, whose bitten pixels lie
+#: inside the foreground's convex hull but have foreground on one side
+#: only, so the witness leaves it to the octagon search.
 EDGE_MASKS = [
     pixel_mask(9, 9, ["..#.#.", ".#####", "######", "######", "######", ".#####"]),
     disk(12.0, 12.0, 6.0) & ~disk(7.25, 16.25, 1.6),
@@ -637,16 +680,16 @@ EDGE_MASKS = [
 
 class TestConvexityWitness:
     """A witness fires exactly for a background band pixel between two
-    foreground band pixels of a row or column that is not the band
-    foreground's first or last, only where neither family fits the band,
-    and never changes a fit."""
+    foreground band pixels of a row or column, only where neither family
+    fits the band by a margin, and never changes a fit."""
 
     def check(self, mask):
         fired = convexity_witness(mask)
         assert fired == reference_witness(mask)
         if fired:
+            # an octagon face along the row can make the octagon's slack 0
             assert reference_consistency_slack(mask, None) < 0
-            assert reference_consistency_slack(mask, 8) < 0
+            assert reference_consistency_slack(mask, 8) < encoder._PRUNE_EPS
         return fired
 
     def test_seeded_masks(self, masks):
@@ -660,19 +703,25 @@ class TestConvexityWitness:
     def test_arbitrary_masks(self, mask):
         self.check(mask)
 
-    @pytest.mark.parametrize("mask", EDGE_MASKS, ids=["top-row gap", "diagonal bite"])
-    def test_edge_masks(self, mask):
-        assert not self.check(mask)
+    @pytest.mark.parametrize("mask,fires", zip(EDGE_MASKS, (True, False)),
+                             ids=["top-row gap", "diagonal bite"])
+    def test_edge_masks(self, mask, fires):
+        assert self.check(mask) == fires
         assert encoder._fit_shape(mask) == reference_fit_shape(mask)
 
-    def test_top_row_gap_is_an_octagon(self):
-        # its octagon slack is a rounded 0 that the decision reads as positive
+    def test_top_row_gap_keeps_the_circle(self, monkeypatch):
+        # its octagon slack is a rounded 0, below the margin, so the
+        # template's circle stands with the witness and without it
         mask = EDGE_MASKS[0]
         assert 0 < reference_consistency_slack(mask, 8) < 1e-12
-        assert encoder._fit_shape(mask)[0] == 8
+        assert reference_consistency_slack(mask, None) < 0
+        template = encoder._fit_shape(mask)
+        assert template[0] is None
+        monkeypatch.setattr(encoder, "_convexity_witness", lambda mask, band: False)
+        assert encoder._fit_shape(mask) == template
 
     @given(any_mask)
-    @example(EDGE_MASKS[0])  # the octagon overturns a circle pick
+    @example(EDGE_MASKS[0])  # the witness fires where the octagon's slack rounds above 0
     @settings(max_examples=40, deadline=None)
     def test_fit_without_the_witness(self, mask):
         fit = fit_or_refusal(mask)

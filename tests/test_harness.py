@@ -209,6 +209,25 @@ class TestRunPoints:
         assert aggs == [harness.run_trials(system, n_b, snr_db, 7, 2)
                         for n_b, snr_db in points]
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    @TRIAL_FNS
+    def test_several_ragged_chunks_per_worker_equal_the_serial_run(
+            self, system, trial_fn, workers, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        chunks = []
+
+        class Pool(harness.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                chunks.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        points = [(8, 5.0), (2, 10.0)]
+        aggs = harness._run_points(trial_fn, points, 17, 3, workers)
+        [chunk] = chunks
+        assert 17 % chunk and math.ceil(17 / chunk) >= 2 * workers
+        assert aggs == harness._run_points(trial_fn, points, 17, 3, 1)
+
     @pytest.mark.parametrize("workers", [1, 2])
     @TRIAL_FNS
     def test_equals_fresh_trials_at_each_point(self, system, trial_fn, workers):

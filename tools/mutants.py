@@ -60,6 +60,8 @@ UNION_BOTH_WAYS = """\
                 parent[j] = x
                 components -= 1
 """
+MARGIN = "beat = max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack) + _PRUNE_EPS"
+SKIP_OR_WITNESS = "if circle_slack <= 0 and (best[0] == 8 or _convexity_witness(mask, band)):"
 LARGEST = "root == np.bincount(root, weights=lengths).argmax()"
 LAST_LARGEST = "root == (lambda c: c.size - 1 - c[::-1].argmax())(np.bincount(root, weights=lengths))"
 
@@ -91,14 +93,16 @@ MUTANTS = [
      "g & (seen > 0)", WITNESS),
     ("rows only", ENCODER, "for f, g in ((fg, gap), (fg.T, gap.T)):",
      "for f, g in ((fg, gap),):", WITNESS),
-    ("first and last rows scanned", ENCODER, "between[rows[0] + 1:rows[-1]].any()",
-     "between.any()", WITNESS),
     ("exit at beat - 0.05", ENCODER, "if floor > beat:", "if floor > beat - 0.05:", SLACK),
     ("beat fixed at 0", ENCODER, "beat = max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack)",
      "beat = 0.0", FIT),
-    ("witness asked before a positive c", ENCODER,
-     "if circle_slack <= 0 and _convexity_witness(mask, band):",
-     "if _convexity_witness(mask, band):", RULE),
+    ("margin dropped (witness)", ENCODER, MARGIN, MARGIN.replace(" + _PRUNE_EPS", ""),
+     WITNESS),
+    ("margin dropped (rule)", ENCODER, MARGIN, MARGIN.replace(" + _PRUNE_EPS", ""), RULE),
+    ("witness asked before a positive c", ENCODER, SKIP_OR_WITNESS,
+     "if circle_slack <= 0 and best[0] == 8 or _convexity_witness(mask, band):", RULE),
+    ("skip taken on a positive c", ENCODER, SKIP_OR_WITNESS,
+     "if best[0] == 8 or circle_slack <= 0 and _convexity_witness(mask, band):", RULE),
     # the sector check
     ("sectors of every foreground pixel", ENCODER,
      "_sector_occupancy(angles[boundary_mask(mask).ravel()])",
