@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="one configuration, aggregate stats")
     _add_batch(p)
     _add_link(p)
-    p.set_defaults(func=cmd_simulate, snr_db=(0,))
+    p.set_defaults(func=cmd_simulate, snr_db=(0.0,))
 
     p = sub.add_parser("sweep-snr", help="error/distortion curves vs SNR")
     _add_batch(p)

@@ -247,7 +247,7 @@ def _convexity_witness(mask: np.ndarray, band: np.ndarray) -> bool:
 
 
 def _consistency_slack(mask: np.ndarray, band: np.ndarray, cx0: float, cy0: float,
-                       n: int | None, *, beat: float = math.inf) -> float:
+                       n: int | None) -> float:
     """Largest margin by which some shape of the family reproduces the mask.
 
     Only the pixels of ``band``, fit_shape's flat boolean over pixel_grid
@@ -275,21 +275,15 @@ def _consistency_slack(mask: np.ndarray, band: np.ndarray, cx0: float, cy0: floa
       <p - c, n_k> for the normal nearest p as seen from the centroid
       bounds each background u from below; only pixels whose lower bound
       reaches the upper bound can hold the minimum;
-    - a rotation whose bounds cannot reach the slack to beat is not
-      computed at all. In the hill-climb that is the current best; on the
-      grid, the middle point's slack, which the grid's maximum reaches, so
-      its first maximum is still found.
+    - a rotation whose bounds cannot reach the floor is not computed at
+      all. In the hill-climb the floor is the current best; on the grid,
+      the middle point's slack, which the grid's maximum reaches, so its
+      first maximum is still found.
 
     Each bound carries a 1e-9 margin, far above the float error of either
     form of u, so no skipped pair can tie a computed extreme: every slack
     that can be accepted, and so every step of the search and the result,
     is bit-identical to the exhaustive search.
-
-    Given ``beat``, the search stops at the first slack it evaluates above
-    it (the middle point's, the grid's maximum, or a hill-climb step) and
-    returns that slack: the search's best only ever rises, so its result
-    would exceed ``beat`` too. Below ``beat`` it takes the same path and
-    returns the same float.
     """
     gx, gy = pixel_grid(mask.shape)
     flat = mask.ravel()
@@ -317,13 +311,9 @@ def _consistency_slack(mask: np.ndarray, band: np.ndarray, cx0: float, cy0: floa
     # grid may skip what cannot reach it and still find the same first maximum
     middle = grid_x.size // 2
     floor = float(slacks(grid_x[middle:middle + 1], grid_y[middle:middle + 1], -np.inf)[0])
-    if floor > beat:
-        return floor
     grid = slacks(grid_x, grid_y, floor)
     i = int(grid.argmax())  # finite: at least the middle point's slack
     best, cx, cy = float(grid[i]), grid_x[i], grid_y[i]
-    if best > beat:
-        return best
     for step in (0.15, 0.075, 0.0375):
         moves = np.array(_HILL_MOVES, dtype=float) * step
         k = 0
@@ -334,8 +324,6 @@ def _consistency_slack(mask: np.ndarray, band: np.ndarray, cx0: float, cy0: floa
                                          best).tolist(), k):
                 if s > best:
                     best = s
-                    if best > beat:
-                        return best
                     cx, cy = cx + moves[j, 0], cy + moves[j, 1]
                     k = j + 1
                     break
@@ -363,11 +351,10 @@ def fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     circumradius and rotation, except that a circle's rotation is 0. The
     octagon must win by a margin of _PRUNE_EPS, so a slack that is 0 in
     exact arithmetic and rounds above it does not overturn a pick. The
-    octagon's search runs only as far as the decision needs, and not at
-    all where it cannot move the tuple: when the circle's slack is not
-    positive and the template already picked the octagon, or when a
-    background pixel between two foreground pixels of its row or column
-    shows that neither family reproduces the mask.
+    octagon's search does not run where it cannot move the tuple: when
+    the circle's slack is not positive and the template already picked the
+    octagon, or when a background pixel between two foreground pixels of
+    its row or column shows that neither family reproduces the mask.
 
     A mask whose boundary pixels hold fewer than MIN_NONEMPTY_SECTORS
     angular sectors around the centroid raises DegenerateShapeError.
@@ -457,10 +444,9 @@ def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
             return best
         # the octagon family matches spuriously more often, so it must win by a
         # clear margin (any slack above _PRUNE_EPS wins where the circle's is
-        # <= 0, so a rounded 0 does not); the search need only tell whether its
-        # slack beats that margin
+        # <= 0, so a rounded 0 does not)
         beat = max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack) + _PRUNE_EPS
-        if _consistency_slack(mask, band, cx, cy, 8, beat=beat) > beat:
+        if _consistency_slack(mask, band, cx, cy, 8) > beat:
             best = (8, best[1], best[2])
         elif circle_slack > 0:
             best = (None, best[1], 0.0)

@@ -132,6 +132,14 @@ class TestSimulate:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    def test_default_snr_prints_as_the_given_one(self, capsys):
+        outs = []
+        for snr in ([], ["--snr-db", "0"]):
+            assert main(["simulate", "--trials", "3", "--seed", "3", *snr]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "snr_db=0.0 " in outs[0]
+        assert outs[0] == outs[1]
+
     def test_noiseless_channel(self, capsys):
         code = main(["simulate", "--trials", "5", "--seed", "3",
                      "--snr-db", "none"])

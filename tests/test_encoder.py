@@ -336,10 +336,10 @@ def reference_band(mask):
     return cx0, cy0, gx, gy, (dist0 >= rmax - 3.2) & (dist0 <= rmax + 3.2)
 
 
-def certificate_slack(mask, n, **beat):
+def certificate_slack(mask, n):
     """encoder._consistency_slack on the mask's reference band and centroid."""
     cx0, cy0, _, _, band = reference_band(mask)
-    return encoder._consistency_slack(mask, band, cx0, cy0, n, **beat)
+    return encoder._consistency_slack(mask, band, cx0, cy0, n)
 
 
 def convexity_witness(mask):
@@ -347,7 +347,7 @@ def convexity_witness(mask):
     return encoder._convexity_witness(mask, reference_band(mask)[4])
 
 
-def reference_consistency_slack(mask, n, rot_seed=0.0):
+def reference_consistency_slack(mask, n):
     """The exhaustive search: every band pixel at every center and rotation."""
     cx0, cy0, gx, gy, band = reference_band(mask)
     flat = mask.ravel()
@@ -360,7 +360,7 @@ def reference_consistency_slack(mask, n, rot_seed=0.0):
     if n is None:
         rots = np.array([0.0])
     else:
-        rots = rot_seed + np.arange(36) * (2.0 * math.pi / n / 36)
+        rots = np.arange(36) * (2.0 * math.pi / n / 36)
 
     def slack_at(cx, cy):
         dist = np.hypot(px - cx, py - cy)
@@ -435,9 +435,9 @@ class TestCertificateBand:
         slack, witness = encoder._consistency_slack, encoder._convexity_witness
         calls = []
 
-        def recorded_slack(mask, band, cx0, cy0, n, **beat):
+        def recorded_slack(mask, band, cx0, cy0, n):
             calls.append((mask, band, (cx0, cy0)))
-            return slack(mask, band, cx0, cy0, n, **beat)
+            return slack(mask, band, cx0, cy0, n)
 
         def recorded_witness(mask, band):
             calls.append((mask, band, None))
@@ -461,7 +461,7 @@ class TestConsistencySlack:
     @pytest.mark.parametrize("n", [None, 8])
     def test_bit_identical_to_exhaustive(self, masks, n):
         assert len(masks) >= 55
-        for mask in masks:
+        for mask in [*masks, *EDGE_MASKS, *structured_masks()]:
             got = certificate_slack(mask, n)
             assert got == reference_consistency_slack(mask, n)
 
@@ -473,27 +473,10 @@ class TestConsistencySlack:
         assert certificate_slack(mask, n) == -np.inf
         assert reference_consistency_slack(mask, n) == -np.inf
 
-    @pytest.mark.parametrize("n", [None, 8])
-    def test_threshold_exit(self, masks, n):
-        # beat -inf exits at the middle point; the last is fit_shape's margin
-        for mask in masks:
-            full = certificate_slack(mask, n)
-            circle = certificate_slack(mask, None)
-            for beat in (-math.inf, 0.0, 0.1, 0.25,
-                         encoder._OCTAGON_SLACK_FACTOR * circle,
-                         max(0.0, encoder._OCTAGON_SLACK_FACTOR * circle)
-                         + encoder._PRUNE_EPS):
-                got = certificate_slack(mask, n, beat=beat)
-                assert (got > beat) == (full > beat), (beat, got, full)
-                if full <= beat:
-                    assert got == full
-
     def test_fit_shape_unchanged(self, masks, monkeypatch):
         fitted = [encoder.fit_shape(mask) for mask in masks]
-        # the full search, whatever the margin: a beat passed by position
-        # would land in rot_seed
         monkeypatch.setattr(encoder, "_consistency_slack",
-                            lambda mask, band, cx0, cy0, n, *, beat=math.inf:
+                            lambda mask, band, cx0, cy0, n:
                             reference_consistency_slack(mask, n))
         # the memoized front would return the fits above; refit without it
         assert fitted == [encoder._fit_shape(mask) for mask in masks]
@@ -523,6 +506,11 @@ def reference_round_pick(template, circle_slack, octagon_slack):
 SLACKS = (-math.inf, -0.3, -0.0, 0.0, 4.4e-16, 1e-9, 0.1, 0.25, 0.2500001, 1.0)
 
 
+def fixed_slacks(circle, octagon):
+    """A stand-in for encoder._consistency_slack that returns fixed slacks."""
+    return lambda mask, band, cx0, cy0, n: circle if n is None else octagon
+
+
 class TestRoundCertificateRule:
     """fit_shape's circle-vs-octagon rule agrees with the four-branch rule."""
 
@@ -532,7 +520,7 @@ class TestRoundCertificateRule:
         # which must agree with it), and the rule gets whole slacks
         monkeypatch.setattr(encoder, "_convexity_witness", lambda mask, band: False)
         monkeypatch.setattr(encoder, "_consistency_slack",
-                            lambda mask, band, cx0, cy0, n, *, beat=math.inf: -math.inf)
+                            lambda mask, band, cx0, cy0, n: -math.inf)
         templates = {}
         for mask in masks:
             fit = encoder._fit_shape(mask)
@@ -546,13 +534,10 @@ class TestRoundCertificateRule:
             for c in SLACKS:
                 for o in SLACKS:
                     monkeypatch.setattr(encoder, "_consistency_slack",
-                                        lambda mask, band, cx0, cy0, k, *, beat=math.inf,
-                                        c=c, o=o: c if k is None else o)
+                                        fixed_slacks(c, o))
                     assert (encoder._fit_shape(mask)
                             == reference_round_pick(template, c, o)), (n, c, o)
-            monkeypatch.setattr(encoder, "_consistency_slack",
-                                lambda mask, band, cx0, cy0, k, *, beat=math.inf:
-                                0.1 if k is None else 0.25)
+            monkeypatch.setattr(encoder, "_consistency_slack", fixed_slacks(0.1, 0.25))
             assert encoder._fit_shape(mask)[0] is None
 
     def test_witness_keeps_the_template(self, masks, monkeypatch):
@@ -560,7 +545,7 @@ class TestRoundCertificateRule:
         # the circle's is not positive, and then the template's pick stands
         monkeypatch.setattr(encoder, "_convexity_witness", lambda mask, band: True)
         monkeypatch.setattr(encoder, "_consistency_slack",
-                            lambda mask, band, cx0, cy0, n, *, beat=math.inf: -math.inf)
+                            lambda mask, band, cx0, cy0, n: -math.inf)
         templates = {}
         for mask in masks:
             fit = encoder._fit_shape(mask)
@@ -572,8 +557,7 @@ class TestRoundCertificateRule:
                     if c <= 0 and o > encoder._PRUNE_EPS:
                         continue  # no witness exists for such a mask
                     monkeypatch.setattr(encoder, "_consistency_slack",
-                                        lambda mask, band, cx0, cy0, k, *, beat=math.inf,
-                                        c=c, o=o: c if k is None else o)
+                                        fixed_slacks(c, o))
                     assert (encoder._fit_shape(mask)
                             == reference_round_pick(template, c, o)), (n, c, o)
 
@@ -584,13 +568,13 @@ class TestRoundCertificateRule:
         with monkeypatch.context() as patch:
             patch.setattr(encoder, "_convexity_witness", lambda mask, band: False)
             patch.setattr(encoder, "_consistency_slack",
-                          lambda mask, band, cx0, cy0, n, *, beat=math.inf: -math.inf)
+                          lambda mask, band, cx0, cy0, n: -math.inf)
             templates = [encoder._fit_shape(mask) for mask in masks]
         slack, witness = encoder._consistency_slack, encoder._convexity_witness
         asked = []
 
-        def spied_slack(mask, band, cx0, cy0, n, **beat):
-            asked.append((n, slack(mask, band, cx0, cy0, n, **beat)))
+        def spied_slack(mask, band, cx0, cy0, n):
+            asked.append((n, slack(mask, band, cx0, cy0, n)))
             return asked[-1][1]
 
         def spied_witness(mask, band):

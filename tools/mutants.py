@@ -93,7 +93,10 @@ MUTANTS = [
      "g & (seen > 0)", WITNESS),
     ("rows only", ENCODER, "for f, g in ((fg, gap), (fg.T, gap.T)):",
      "for f, g in ((fg, gap),):", WITNESS),
-    ("exit at beat - 0.05", ENCODER, "if floor > beat:", "if floor > beat - 0.05:", SLACK),
+    ("grid floor raised", ENCODER, "slacks(grid_x, grid_y, floor)",
+     "slacks(grid_x, grid_y, floor + 0.05)", SLACK),
+    ("background bound tightened", ENCODER, "low <= lim[:, None] + _PRUNE_EPS",
+     "low <= lim[:, None] - 0.05", SLACK),
     ("beat fixed at 0", ENCODER, "beat = max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack)",
      "beat = 0.0", FIT),
     ("margin dropped (witness)", ENCODER, MARGIN, MARGIN.replace(" + _PRUNE_EPS", ""),
