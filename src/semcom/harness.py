@@ -228,7 +228,9 @@ def _run_points(trial_fn, points, trials: int, base_seed: int,
     add inter-process round trips.
     """
     run = functools.partial(_trial_outcomes, trial_fn, points, base_seed)
-    workers = min(workers, trials, os.cpu_count() or 1)  # more would not run faster
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # the CPUs this process may run on
+    workers = min(workers, trials, cpus)  # more would not run faster
     if workers <= 1:
         rows = map(run, range(trials))
     else:

@@ -15,6 +15,7 @@ from .cspace import DIMENSION_RANGES, SemanticPoint
 from .errors import InvalidParameterError, MalformedPacketError
 
 _LO, _HI = np.array(DIMENSION_RANGES).T
+_BLOCK = 1 << 16  # symbols the channel decides per pass: small buffers, few passes
 
 
 @dataclass(frozen=True)
@@ -124,16 +125,27 @@ def transmit_packet(bits: np.ndarray, params: ChannelParams) -> np.ndarray:
 
     Bit 0 -> +1 and bit 1 -> -1. Each symbol x gets its own unit-mean-square
     Rayleigh fade a, then AWGN n of variance 1/(2*gamma) for the average
-    symbol SNR gamma, both drawn from params.rng, all fades first. With
-    perfect CSI the receiver decides bit 1 where y*a < 0 for y = a*x + n,
-    the coherent detector analytic_ber gives in closed form. The noiseless
+    symbol SNR gamma, both drawn from params.rng. With perfect CSI the
+    receiver decides bit 1 where y*a < 0 for y = a*x + n, the coherent
+    detector analytic_ber gives in closed form. All fades are drawn first;
+    then the packet, in C order, is decided _BLOCK symbols at a time, each
+    block drawing its own noise, so the draws are those of one call each
+    and only the fades and the decisions are packet-sized. The noiseless
     channel (snr_db None) sends y = x and draws nothing.
     """
-    x = 1.0 - 2.0 * np.asarray(bits, dtype=float)  # a fresh array, worked in place
-    if params.snr_db is not None:
-        fades = params.rng.rayleigh(scale=math.sqrt(0.5), size=x.shape)
-        x *= fades
-        x += params.rng.normal(0.0, math.sqrt(0.5 / _linear_snr(params.snr_db)),
-                               size=x.shape)
-        x *= fades
-    return (x < 0).astype(np.uint8)
+    bits = np.asarray(bits)
+    if params.snr_db is None:
+        return (1.0 - 2.0 * bits.astype(float) < 0).astype(np.uint8)
+    fades = params.rng.rayleigh(scale=math.sqrt(0.5), size=bits.size)
+    sigma = math.sqrt(0.5 / _linear_snr(params.snr_db))
+    flat, out = bits.ravel(), np.empty(bits.size, np.uint8)
+    x, noise = np.empty((2, min(bits.size, _BLOCK)))
+    for lo in range(0, bits.size, _BLOCK):
+        a = fades[lo:lo + _BLOCK]
+        y, z = x[:a.size], noise[:a.size]
+        np.subtract(1.0, np.multiply(flat[lo:lo + _BLOCK], 2.0, out=y), out=y)
+        y *= a
+        y += np.multiply(params.rng.standard_normal(out=z), sigma, out=z)
+        y *= a
+        np.less(y, 0.0, out=out[lo:lo + _BLOCK])
+    return out.reshape(bits.shape)

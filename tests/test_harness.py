@@ -12,13 +12,20 @@ from semcom import cspace, encoder, harness, phy, scenegen
 from semcom.errors import DegenerateSceneError, InvalidParameterError
 
 
+def set_cpus(monkeypatch, n):
+    """Let this process run on CPUs 0..n-1, as os.sched_getaffinity reports
+    where it exists and os.cpu_count() elsewhere."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The max_workers of every process pool harness starts, in order.
 
-    os.cpu_count() reads 4, so pool sizes do not depend on the machine.
+    The process may run on 4 CPUs, so pool sizes do not depend on the machine.
     """
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
     sizes = []
 
     class Pool(harness.ProcessPoolExecutor):
@@ -186,10 +193,24 @@ class TestRunTrials:
         assert pool_sizes == [2]  # a single trial runs in this process
 
     def test_pool_no_larger_than_the_cores(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # the CPUs this process may run on, not all the machine's cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         agg = harness.run_trials("semantic", 8, None, 4, 5, workers=1000)
         assert pool_sizes == [2]
         assert agg == harness.run_trials("semantic", 8, None, 4, 5, workers=1)
+
+    def test_one_allowed_cpu_starts_no_pool(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        agg = harness.run_trials("semantic", 8, None, 4, 5, workers=8)
+        assert pool_sizes == []
+        assert agg == harness.run_trials("semantic", 8, None, 4, 5, workers=1)
+
+    def test_pool_no_larger_than_cpu_count_without_affinity(self, pool_sizes,
+                                                            monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        harness.run_trials("semantic", 8, None, 4, 5, workers=1000)
+        assert pool_sizes == [2]
 
 
 TRIAL_FNS = pytest.mark.parametrize("system,trial_fn", [
@@ -213,7 +234,7 @@ class TestRunPoints:
     @TRIAL_FNS
     def test_several_ragged_chunks_per_worker_equal_the_serial_run(
             self, system, trial_fn, workers, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        set_cpus(monkeypatch, 4)
         chunks = []
 
         class Pool(harness.ProcessPoolExecutor):

@@ -115,13 +115,15 @@ class TestChannelReference:
         return ((fades * (1.0 - 2.0 * bits) + noise) * fades < 0).astype(np.uint8), fades
 
     def check(self, bits, snr_db, rng):
-        """Assert transmit_packet equals the textbook channel; return its fades."""
-        sent = bits.copy()
-        expected, fades = self.textbook(bits, snr_db, copy.deepcopy(rng))
+        """Assert transmit_packet equals the textbook channel, and leaves the
+        stream where the textbook's draws leave it; return its fades."""
+        sent, reference = bits.copy(), copy.deepcopy(rng)
+        expected, fades = self.textbook(bits, snr_db, reference)
         out = phy.transmit_packet(bits, phy.ChannelParams(snr_db, rng))
         assert np.array_equal(bits, sent)
         assert out.dtype == np.uint8 and out.shape == bits.shape
         assert np.array_equal(out, expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
         return fades
 
     @pytest.mark.parametrize("tiles", [(), (400, 1)], ids=["1d", "2d"])
@@ -129,6 +131,21 @@ class TestChannelReference:
     def test_equals_the_textbook_channel(self, snr_db, tiles, rng):
         packet = rng.integers(0, 2, size=32).astype(np.uint8)
         self.check(np.tile(packet, tiles) if tiles else packet, snr_db, rng)
+
+    # the state check catches a block that is never decided even where the
+    # output buffer happens to hold the expected bits
+    @pytest.mark.parametrize("shape", [
+        (3 * phy._BLOCK + 17,), (3, phy._BLOCK + 5), (phy._BLOCK,), (0,)],
+        ids=["partial-last-block", "2d-rows-across-blocks", "one-block", "empty"])
+    def test_packets_across_blocks(self, shape, rng):
+        self.check(rng.integers(0, 2, size=shape).astype(np.uint8), 5.0, rng)
+
+    def test_noiseless_multi_block_packet(self, rng):
+        bits = rng.integers(0, 2, size=2 * phy._BLOCK + 3).astype(np.uint8)
+        state = rng.bit_generator.state
+        out = phy.transmit_packet(bits, phy.ChannelParams(None, rng))
+        assert rng.bit_generator.state == state  # nothing drawn
+        assert out.dtype == np.uint8 and np.array_equal(out, bits)
 
     def test_fade_power_is_unit(self, rng):
         # float bits, which a channel working in place on its input would overwrite

@@ -40,21 +40,28 @@ RULE = ("tests/test_encoder.py::TestRoundCertificateRule",)
 FIT = ("tests/test_encoder.py::TestFitShapeReference",)
 SECTORS = ("tests/test_encoder.py::TestSectorCheck",)
 
-BPSK_MAP = "x = 1.0 - 2.0 * np.asarray(bits, dtype=float)"
+BPSK_MAP = "np.subtract(1.0, np.multiply(flat[lo:lo + _BLOCK], 2.0, out=y), out=y)"
 NOISE = "math.sqrt(0.5 / _linear_snr(params.snr_db))"
+BLOCKS = "for lo in range(0, bits.size, _BLOCK):"
+FADES = "fades = params.rng.rayleigh(scale=math.sqrt(0.5), size=bits.size)\n"
 FADES_THEN_NOISE = """\
-        fades = params.rng.rayleigh(scale=math.sqrt(0.5), size=x.shape)
-        x *= fades
-        x += params.rng.normal(0.0, math.sqrt(0.5 / _linear_snr(params.snr_db)),
-                               size=x.shape)
+    fades = params.rng.rayleigh(scale=math.sqrt(0.5), size=bits.size)
+    sigma = math.sqrt(0.5 / _linear_snr(params.snr_db))
+    flat, out = bits.ravel(), np.empty(bits.size, np.uint8)
+    x, noise = np.empty((2, min(bits.size, _BLOCK)))
+    for lo in range(0, bits.size, _BLOCK):
+        a = fades[lo:lo + _BLOCK]
+        y, z = x[:a.size], noise[:a.size]
+        np.subtract(1.0, np.multiply(flat[lo:lo + _BLOCK], 2.0, out=y), out=y)
+        y *= a
+        y += np.multiply(params.rng.standard_normal(out=z), sigma, out=z)
 """
-NOISE_THEN_FADES = """\
-        noise = params.rng.normal(0.0, math.sqrt(0.5 / _linear_snr(params.snr_db)),
-                                  size=x.shape)
-        fades = params.rng.rayleigh(scale=math.sqrt(0.5), size=x.shape)
-        x *= fades
-        x += noise
-"""
+NOISE_THEN_FADES = ("    drawn = params.rng.standard_normal(bits.size)\n"
+                    + FADES_THEN_NOISE.replace("params.rng.standard_normal(out=z)",
+                                             "drawn[lo:lo + _BLOCK]"))
+FADES_PER_BLOCK = FADES_THEN_NOISE.replace("    " + FADES, "").replace(
+    "a = fades[lo:lo + _BLOCK]",
+    "a = params.rng.rayleigh(scale=math.sqrt(0.5), size=min(_BLOCK, bits.size - lo))")
 UNION_BOTH_WAYS = """\
             elif j > x:
                 parent[j] = x
@@ -75,9 +82,13 @@ MUTANTS = [
      CRITERION_3),
     ("noise variance 1/snr (channel)", PHY, NOISE, NOISE.replace("0.5 /", "1.0 /"), CHANNEL),
     ("noise drawn before fades", PHY, FADES_THEN_NOISE, NOISE_THEN_FADES, CHANNEL),
-    ("bit map flipped", PHY, BPSK_MAP, "x = 2.0 * np.asarray(bits, dtype=float) - 1.0", CHANNEL),
+    ("fades drawn block by block", PHY, FADES_THEN_NOISE, FADES_PER_BLOCK, CHANNEL),
+    ("last partial block skipped", PHY, BLOCKS,
+     BLOCKS.replace("bits.size,", "max(bits.size - _BLOCK + 1, 1),"), CHANNEL),
+    ("bit map flipped", PHY, BPSK_MAP,
+     "np.subtract(np.multiply(flat[lo:lo + _BLOCK], 2.0, out=y), 1.0, out=y)", CHANNEL),
     ("map worked in place on the caller's bits", PHY, BPSK_MAP,
-     "x = np.asarray(bits, dtype=float); x *= -2.0; x += 1.0", CHANNEL),
+     BPSK_MAP.replace("2.0, out=y)", "2.0, out=flat[lo:lo + _BLOCK])"), CHANNEL),
     ("dequantize to cell edges", PHY, "lo + (indices + 0.5) * (hi - lo) / levels",
      "lo + indices * (hi - lo) / levels", ORACLE),
     # the labeller
