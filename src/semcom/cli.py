@@ -124,7 +124,6 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_funcomp_classes(args) -> int:
-    domain = []
     mapping = {}
     probs = {}
     try:
@@ -138,13 +137,15 @@ def cmd_funcomp_classes(args) -> int:
                 if x is None or row["output"] is None:
                     raise InvalidParameterError(
                         f"{args.spec}: line {reader.line_num} is short")
-                domain.append(x)
+                if x in mapping:
+                    raise InvalidParameterError(
+                        f"{args.spec}: element {x!r} repeated on line {reader.line_num}")
                 mapping[x] = row["output"]
                 if row.get("probability"):
                     probs[x] = float(row["probability"])
     except (ValueError, csv.Error) as exc:  # a non-numeric probability, undecodable text
         raise InvalidParameterError(f"{args.spec}: {exc}") from exc
-    fn = funcomp.FiniteFunction(domain, mapping, probs or None)
+    fn = funcomp.FiniteFunction(mapping, probs or None)
     classes = funcomp.equivalence_classes(fn)
     for cls in classes:
         print("{" + ",".join(str(x) for x in cls) + "}")

@@ -10,7 +10,6 @@ sweep over the 16-point design space.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
@@ -19,28 +18,24 @@ from .harness import _check_batch, _run_points, run_trial
 
 @dataclass
 class FiniteFunction:
-    """A total function on a finite domain with a source distribution."""
+    """A total function with a source distribution; its domain is the mapping's keys."""
 
-    domain: list
     mapping: dict
     probabilities: dict | None = None
 
     def __post_init__(self):
-        if not self.domain:
+        if not self.mapping:
             raise InvalidParameterError("the domain is empty")
-        repeated = [x for x, k in Counter(self.domain).items() if k > 1]
-        if repeated:
-            raise InvalidParameterError(f"domain elements repeated: {repeated}")
-        missing = [x for x in self.domain if x not in self.mapping]
-        if missing:
-            raise InvalidParameterError(f"mapping not total; missing {missing}")
         if self.probabilities is None:
-            self.probabilities = {x: 1.0 / len(self.domain) for x in self.domain}
-        bad = [x for x in self.domain
+            self.probabilities = {x: 1.0 / len(self.mapping) for x in self.mapping}
+        extra = [x for x in self.probabilities if x not in self.mapping]
+        if extra:
+            raise InvalidParameterError(f"probabilities outside the domain: {extra}")
+        bad = [x for x in self.mapping
                if x not in self.probabilities or not self.probabilities[x] >= 0.0]
         if bad:
             raise InvalidParameterError(f"no probability >= 0 for {bad}")
-        total = sum(self.probabilities[x] for x in self.domain)
+        total = sum(self.probabilities[x] for x in self.mapping)
         if abs(total - 1.0) > 1e-9:
             raise InvalidParameterError(f"probabilities sum to {total}, expected 1")
 
@@ -48,8 +43,8 @@ class FiniteFunction:
 def equivalence_classes(f: FiniteFunction) -> list[tuple]:
     """Partition the domain by equal outputs; classes ordered by smallest element."""
     groups: dict = {}
-    for x in f.domain:
-        groups.setdefault(f.mapping[x], []).append(x)
+    for x, y in f.mapping.items():
+        groups.setdefault(y, []).append(x)
     classes = [tuple(sorted(g)) for g in groups.values()]
     return sorted(classes, key=lambda c: c[0])
 
@@ -68,8 +63,8 @@ def expected_code_length(f: FiniteFunction) -> float:
     class needs zero bits by convention.
     """
     probs: dict = {}
-    for x in f.domain:
-        probs[f.mapping[x]] = probs.get(f.mapping[x], 0.0) + f.probabilities[x]
+    for x, y in f.mapping.items():
+        probs[y] = probs.get(y, 0.0) + f.probabilities[x]
     heap = list(probs.values())
     heapq.heapify(heap)
     total = 0.0

@@ -11,8 +11,10 @@ from __future__ import annotations
 import colorsys
 import csv
 import functools
+import itertools
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,25 +133,17 @@ def write_ppm(img: np.ndarray, path: str) -> None:
 def read_ppm(path: str) -> np.ndarray:
     """Read a binary PPM back into a float image with channels in [0, 1].
 
-    Anything but a P6 file with a complete header, 8-bit samples (maxval
-    1..255), the full payload and no sample above maxval raises
-    InvalidParameterError.
+    The header is the first four runs of non-whitespace bytes (magic,
+    width, height, maxval); a '#' that starts a run comments out the rest
+    of its line, and the payload starts one byte after maxval. Anything but
+    a P6 file with a complete header, 8-bit samples (maxval 1..255), the
+    full payload and no sample above maxval raises InvalidParameterError.
     """
     with open(path, "rb") as f:
         raw = f.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4 and pos < len(raw):
-        if raw[pos:pos + 1].isspace():
-            pos += 1
-        elif raw[pos:pos + 1] == b"#":
-            end = raw.find(b"\n", pos)
-            pos = len(raw) if end < 0 else end + 1
-        else:
-            start = pos
-            while pos < len(raw) and not raw[pos:pos + 1].isspace():
-                pos += 1
-            fields.append(raw[start:pos])
+    tokens = list(itertools.islice(
+        (m for m in re.finditer(rb"#[^\n]*\n?|(\S+)", raw) if m[1]), 4))
+    fields = [m[1] for m in tokens]
     if not fields or fields[0] != b"P6":
         raise InvalidParameterError(f"{path}: not a binary PPM")
     if len(fields) < 4 or not all(f.isdigit() for f in fields[1:]):
@@ -159,7 +153,7 @@ def read_ppm(path: str) -> np.ndarray:
         raise InvalidParameterError(f"{path}: image size {w}x{h}")
     if not 1 <= maxval <= 255:
         raise InvalidParameterError(f"{path}: maxval {maxval} outside 1..255")
-    pos += 1  # single whitespace after maxval
+    pos = tokens[3].end() + 1  # single whitespace after maxval
     size = w * h * 3
     if len(raw) - pos < size:
         raise InvalidParameterError(

@@ -6,13 +6,53 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcom import cspace, encoder, harness, scenegen
 from semcom.errors import InvalidParameterError
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def reference_ppm_header(raw: bytes) -> tuple[list[bytes], int]:
+    """Up to four PPM header fields, read byte by byte, and the offset just
+    past the last one read."""
+    fields = []
+    pos = 0
+    while len(fields) < 4 and pos < len(raw):
+        if raw[pos:pos + 1].isspace():
+            pos += 1
+        elif raw[pos:pos + 1] == b"#":
+            end = raw.find(b"\n", pos)
+            pos = len(raw) if end < 0 else end + 1
+        else:
+            start = pos
+            while pos < len(raw) and not raw[pos:pos + 1].isspace():
+                pos += 1
+            fields.append(raw[start:pos])
+    return fields, pos
+
+
+def byte_runs(alphabet, **kwargs):
+    return st.lists(st.sampled_from(alphabet), **kwargs).map(b"".join)
+
+
+# all six ASCII whitespace bytes, and bytes that are not whitespace in a bytes scan
+PPM_SPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+PPM_OTHER = [b"0", b"7", b"P", b"#", b"\x00", b"\xff", b"\x1c"]
+ppm_comment = st.builds(lambda text, end: b"#" + text + end,
+                        byte_runs(PPM_OTHER + PPM_SPACE[:1] + PPM_SPACE[3:], max_size=4),
+                        st.sampled_from([b"\n"] * 4 + [b""]))  # the last line may not end
+ppm_gap = st.tuples(byte_runs(PPM_SPACE, min_size=1, max_size=2),
+                    st.just(b"") | ppm_comment).map(b"".join)
+ppm_header = st.tuples(
+    st.just(b"") | ppm_gap,
+    st.sampled_from([b"P6"] * 3 + [b"P5", b"P6#", b"\xffP6", b"P6\x1c"]),
+    ppm_gap, st.sampled_from([b"1", b"2", b"3"] * 2 + [b"0", b"2#", b"\x002"]),
+    ppm_gap, st.sampled_from([b"1", b"2"] * 2 + [b"0", b"#1", b"2\x1c"]),
+    ppm_gap, st.sampled_from([b"255", b"9", b"1"] * 2 + [b"0", b"256", b"9\xff"]),
+).map(b"".join)
 
 
 class TestHsvRgb:
@@ -158,6 +198,47 @@ class TestPpm:
         img = scenegen.read_ppm(path)
         assert img.shape == (1, 2, 3)
         assert img[0, 0] == pytest.approx((1.0, 0.0, 0.0))
+
+    def test_comments_and_every_whitespace_between_fields(self, tmp_path):
+        path = str(tmp_path / "c.ppm")
+        with open(path, "wb") as f:
+            f.write(b"P6 # x\n2\t1\x0b# y\n255\n" + bytes([255, 0, 0, 0, 0, 255]))
+        img = scenegen.read_ppm(path)
+        assert img.shape == (1, 2, 3)
+        assert img[0, 1] == pytest.approx((0.0, 0.0, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(header=ppm_header, tail=ppm_gap, payload=st.binary(min_size=19, max_size=40),
+           cut=st.none() | st.integers(0, 40))
+    def test_header_matches_the_byte_by_byte_reference(self, tmp_path_factory, header,
+                                                       tail, payload, cut):
+        raw = header + tail + payload
+        raw = raw if cut is None else raw[:cut]
+        fields, end = reference_ppm_header(raw)
+        path = tmp_path_factory.mktemp("ppm") / "x.ppm"
+
+        def read(data):
+            path.write_bytes(data)
+            try:
+                return scenegen.read_ppm(str(path))
+            except InvalidParameterError as exc:
+                return str(exc).removeprefix(f"{path}: ")
+
+        got = read(raw)
+        if fields[:1] != [b"P6"]:
+            assert got == "not a binary PPM"
+        elif len(fields) < 4 or not all(f.isdigit() for f in fields[1:]):
+            assert got == "incomplete or non-numeric PPM header"
+        else:
+            # write_ppm's layout of the same fields, then what follows the offset
+            want = read(b"%s\n%s %s\n%s\n" % tuple(fields) + raw[end + 1:])
+            if isinstance(want, np.ndarray):
+                w, h, maxval = (int(f) for f in fields[1:])
+                at_end = np.frombuffer(raw, np.uint8, w * h * 3, end + 1) / float(maxval)
+                assert np.array_equal(want, at_end.reshape(h, w, 3))
+                assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+            else:
+                assert isinstance(got, str) and got == want
 
     def test_rejects_non_p6(self, tmp_path):
         path = str(tmp_path / "bad.ppm")

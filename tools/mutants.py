@@ -3,8 +3,8 @@
 Run from anywhere:  python3 tools/mutants.py
 
 Each mutant is (file, exact old text, new text, test selector). The script
-copies the tree's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory, replaces the old text, which must occur exactly once, and runs
+copies the tree's ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to a
+temporary directory, replaces the old text, which must occur exactly once, and runs
 pytest on the selector there; the mutant is caught when a test fails
 (pytest's exit status 1, not a collection or usage error). Old
 text that is missing or repeated makes the mutant stale, and that is an
@@ -30,6 +30,8 @@ WORKERS = min(2, os.cpu_count() or 1)
 
 PHY = "src/semcom/phy.py"
 ENCODER = "src/semcom/encoder.py"
+SCENEGEN = "src/semcom/scenegen.py"
+CLI = "src/semcom/cli.py"
 ORACLE = ("tests/test_link_oracle.py",)
 CRITERION_3 = ("tests/test_acceptance.py::test_criterion_3_channel_ber",)
 CHANNEL = ("tests/test_phy.py::TestChannelReference",)
@@ -39,6 +41,8 @@ SLACK = ("tests/test_encoder.py::TestConsistencySlack",)
 RULE = ("tests/test_encoder.py::TestRoundCertificateRule",)
 FIT = ("tests/test_encoder.py::TestFitShapeReference",)
 SECTORS = ("tests/test_encoder.py::TestSectorCheck",)
+PPM = ("tests/test_scenegen.py::TestPpm",)
+REPEATED = ("tests/test_cli.py", "-k", "repeated")
 
 BPSK_MAP = "np.subtract(1.0, np.multiply(flat[lo:lo + _BLOCK], 2.0, out=y), out=y)"
 NOISE = "math.sqrt(0.5 / _linear_snr(params.snr_db))"
@@ -69,6 +73,12 @@ UNION_BOTH_WAYS = """\
 """
 MARGIN = "beat = max(0.0, _OCTAGON_SLACK_FACTOR * circle_slack) + _PRUNE_EPS"
 SKIP_OR_WITNESS = "if circle_slack <= 0 and (best[0] == 8 or _convexity_witness(mask, band)):"
+PPM_TOKENS = r'rb"#[^\n]*\n?|(\S+)"'
+REPEAT_CHECK = """\
+                if x in mapping:
+                    raise InvalidParameterError(
+                        f"{args.spec}: element {x!r} repeated on line {reader.line_num}")
+"""
 LARGEST = "root == np.bincount(root, weights=lengths).argmax()"
 LAST_LARGEST = "root == (lambda c: c.size - 1 - c[::-1].argmax())(np.bincount(root, weights=lengths))"
 
@@ -123,6 +133,9 @@ MUTANTS = [
      "_sector_occupancy(angles[mask.ravel()])", SECTORS),
     ("refused at exactly the minimum", ENCODER, ") < MIN_NONEMPTY_SECTORS:",
      ") <= MIN_NONEMPTY_SECTORS:", SECTORS),
+    # the readers of a user's file
+    ("PPM comments read as tokens", SCENEGEN, PPM_TOKENS, r'rb"(\S+)"', PPM),
+    ("repeated CSV element overwrites", CLI, REPEAT_CHECK, "", REPEATED),
 ]
 
 
@@ -130,7 +143,8 @@ def copy_tree(dest: str) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name), ignore=ignore)
-    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+    for name in ("pyproject.toml", "README.md"):  # tests/test_cli.py parses README's commands
+        shutil.copy(os.path.join(ROOT, name), dest)
 
 
 def mutated(path: str, old: str, new: str) -> str:
