@@ -134,9 +134,10 @@ def cmd_funcomp_classes(args) -> int:
                     f"{args.spec}: needs the columns element,output")
             for row in reader:
                 x = row["element"]
-                if x is None or row["output"] is None:
+                # missing fields read as None, and surplus fields under the key None
+                if x is None or row["output"] is None or None in row:
                     raise InvalidParameterError(
-                        f"{args.spec}: line {reader.line_num} is short")
+                        f"{args.spec}: line {reader.line_num} does not match the header")
                 if x in mapping:
                     raise InvalidParameterError(
                         f"{args.spec}: element {x!r} repeated on line {reader.line_num}")

@@ -360,20 +360,18 @@ def fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:
     angular sectors around the centroid raises DegenerateShapeError.
 
     That check and the fit depend on the mask's content alone, so the whole
-    estimate is memoized on the mask's shape and packed bits: a scene
-    encoded again (the rate search encodes each scene once per n_b) reuses
-    it, and a refused mask takes no entry. The cache keeps its own copy of
-    the bits and the result is a tuple, so neither changes when the
+    estimate is memoized on the mask's shape and bytes: a scene encoded
+    again (the rate search encodes each scene once per n_b) reuses it, and
+    a refused mask takes no entry. The cache keeps its own immutable copy
+    of the bytes and the result is a tuple, so neither changes when the
     caller's array does.
     """
-    return _fit_shape_cached(mask.shape, np.packbits(mask).tobytes())
+    return _fit_shape_cached(mask.shape, np.asarray(mask, dtype=bool).tobytes())
 
 
 @functools.lru_cache(maxsize=FIT_CACHE_SIZE)
-def _fit_shape_cached(shape: tuple[int, ...],
-                      packed: bytes) -> tuple[int | None, float, float]:
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=math.prod(shape))
-    return _fit_shape(bits.view(bool).reshape(shape))
+def _fit_shape_cached(shape: tuple[int, ...], raw: bytes) -> tuple[int | None, float, float]:
+    return _fit_shape(np.frombuffer(raw, dtype=bool).reshape(shape))
 
 
 def _fit_shape(mask: np.ndarray) -> tuple[int | None, float, float]:

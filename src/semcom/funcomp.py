@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .harness import _check_batch, _run_points, run_trial
+from .harness import _run_points, run_trial
 
 
 @dataclass
@@ -112,9 +112,8 @@ def semantic_rate_search(tau: float, snr_db: float | None = None,
     """
     if not tau > 0:  # refuses nan as well
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    _check_batch("semantic", max_n_b, (snr_db,), trials, 1)
     n_b_values = range(1, max_n_b + 1)
-    aggs = _run_points(run_trial, [(n_b, snr_db) for n_b in n_b_values], trials, base_seed)
+    aggs = _run_points([(run_trial, n_b, snr_db) for n_b in n_b_values], trials, base_seed)
     points = [RatePoint(n_b, agg.mean_distortion, agg.distortion_se,
                         agg.mean_distortion <= tau) for n_b, agg in zip(n_b_values, aggs)]
     return RateSearchResult(next((p.n_b for p in points if p.feasible), None), points)

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__ as VERSION
 from . import baseline, cspace, encoder, phy, scenegen
-from .errors import InvalidParameterError, SemcomError
+from .errors import (DegenerateHueError, DegenerateSceneError, DegenerateShapeError,
+                     InvalidParameterError)
 
 CONCEPT_LABELS = tuple(c.label for c in cspace.CONCEPTS)
 
@@ -34,7 +35,6 @@ RATE_SWEEP_SNR_DB = 15.0
 class TrialRecord:
     """Outcome of one end-to-end transmission."""
 
-    concept: str
     point: cspace.SemanticPoint | None
     bits: np.ndarray | None
     received_bits: np.ndarray | None
@@ -56,19 +56,19 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_batch(self.system, self.n_b, self.snr_db_list, self.trials, self.workers)
+        points = [(_trial_fn(self.system), self.n_b, snr) for snr in self.snr_db_list]
+        _check_batch(points, self.trials, self.workers)
 
 
-def _check_batch(system: str, n_b: int, snr_db_list, trials: int, workers: int) -> None:
+def _check_batch(points, trials: int, workers: int) -> None:
     """Raise InvalidParameterError unless a batch of trials can run as given."""
-    if system not in ("semantic", "traditional"):
-        raise InvalidParameterError(f"unknown system {system!r}")
+    if not points:
+        raise InvalidParameterError("a batch needs at least one point")
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    phy.QuantizerSpec(n_b)
-    for snr_db in snr_db_list:  # the channel's own check
-        if snr_db is not None:
-            phy._linear_snr(snr_db)
+    for _, n_b, snr_db in points:  # the quantizer's and the channel's own checks
+        phy.QuantizerSpec(n_b)
+        phy.ChannelParams(snr_db, None)
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1")
 
@@ -88,7 +88,7 @@ def _encode(img: np.ndarray) -> cspace.SemanticPoint | None:
     """The encoder's point for an image; None when it cannot make one."""
     try:
         return encoder.encode(img)
-    except SemcomError:
+    except (DegenerateSceneError, DegenerateShapeError, DegenerateHueError):
         return None
 
 
@@ -105,7 +105,7 @@ def _decode(concept: str, point, bits, received, received_point) -> TrialRecord:
         distortion = cspace.semantic_loss(
             cspace.concept_by_label(concept).prototype, received_point)
     return TrialRecord(
-        concept, point, bits, received, received_point, decoded,
+        point, bits, received, received_point, decoded,
         syntactic_error=bits is not None and bool((bits != received).any()),
         semantic_error=decoded != concept,
         distortion=distortion, degenerate=received_point is None)
@@ -194,7 +194,7 @@ class Aggregate:
         return math.sqrt(var / n)
 
 
-def _trial_outcomes(trial_fn, points, base_seed: int, index: int) -> list[tuple]:
+def _trial_outcomes(points, base_seed: int, index: int) -> list[tuple]:
     """One trial's outcome at each point, its scene drawn and rendered once.
 
     Each point's link draws follow the render on the trial's stream, so the
@@ -203,23 +203,22 @@ def _trial_outcomes(trial_fn, points, base_seed: int, index: int) -> list[tuple]
     """
     concept, rng = draw_trial(base_seed, index)
     img = _scene(concept, rng)
-    after_render = rng.bit_generator.state if len(points) > 1 else None
+    after_render = rng.bit_generator.state
     out = []
-    for k, (n_b, snr_db) in enumerate(points):
+    for k, (trial_fn, n_b, snr_db) in enumerate(points):
         if k:
             rng.bit_generator.state = after_render
         rec = trial_fn(concept, n_b, snr_db, rng, img)
-        out.append((rec.syntactic_error, rec.semantic_error,
-                    rec.degenerate, rec.distortion))
+        out.append((rec.syntactic_error, rec.semantic_error, rec.degenerate, rec.distortion))
     return out
 
 
-def _run_points(trial_fn, points, trials: int, base_seed: int,
+def _run_points(points, trials: int, base_seed: int,
                 workers: int = 1) -> list[Aggregate]:
-    """One Aggregate per (n_b, snr_db) point, over the same trials.
+    """One Aggregate per (trial_fn, n_b, snr_db) point, over the same trials.
 
-    Trial-major: each trial's scene is rendered once for all its points,
-    and its later points find its fit in encoder's memo.
+    Checked before the first draw. Trial-major: each trial's scene is rendered
+    once for all its points, and its later points find its fit in encoder's memo.
     Rows come back in input order from map and pool.map alike, so every
     point sums its outcomes in trial-index order whatever the worker count.
     A pool takes about four contiguous chunks per worker: round scenes cost
@@ -227,7 +226,8 @@ def _run_points(trial_fn, points, trials: int, base_seed: int,
     leave a worker idle while the other finishes, and smaller chunks would
     add inter-process round trips.
     """
-    run = functools.partial(_trial_outcomes, trial_fn, points, base_seed)
+    _check_batch(points, trials, workers)
+    run = functools.partial(_trial_outcomes, points, base_seed)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # the CPUs this process may run on
     workers = min(workers, trials, cpus)  # more would not run faster
@@ -244,6 +244,13 @@ def _run_points(trial_fn, points, trials: int, base_seed: int,
     return aggs
 
 
+def _trial_fn(system: str):
+    """The system's trial function, looked up in this module when called."""
+    if system not in ("semantic", "traditional"):
+        raise InvalidParameterError(f"unknown system {system!r}")
+    return run_trial if system == "semantic" else run_traditional_trial
+
+
 def run_trials(system: str, n_b: int, snr_db: float | None, trials: int,
                base_seed: int, workers: int = 1) -> Aggregate:
     """Run a batch of trials with uniformly drawn concepts.
@@ -252,9 +259,7 @@ def run_trials(system: str, n_b: int, snr_db: float | None, trials: int,
     result bit-identical for every worker count; workers are separate
     processes since the trial loop is CPU-bound.
     """
-    _check_batch(system, n_b, (snr_db,), trials, workers)
-    trial_fn = run_trial if system == "semantic" else run_traditional_trial
-    return _run_points(trial_fn, [(n_b, snr_db)], trials, base_seed, workers)[0]
+    return _run_points([(_trial_fn(system), n_b, snr_db)], trials, base_seed, workers)[0]
 
 
 def sweep_snr(cfg: ExperimentConfig) -> list[dict]:
@@ -276,18 +281,15 @@ def sweep_snr(cfg: ExperimentConfig) -> list[dict]:
 
 
 def sweep_rate(trials: int, base_seed: int, workers: int = 1) -> list[dict]:
-    """Rate-vs-semantic-error rows at RATE_SWEEP_SNR_DB, one _run_points batch per system."""
-    _check_batch("semantic", RATE_SWEEP_NB[0], (RATE_SWEEP_SNR_DB,), trials, workers)
-    points = [(n_b, RATE_SWEEP_SNR_DB) for n_b in RATE_SWEEP_NB]
-    rows = []
-    for system, trial_fn, rate_fn in (
-            ("semantic", run_trial, baseline.semantic_rate_bits),
-            ("traditional", run_traditional_trial, baseline.traditional_rate_bits)):
-        aggs = _run_points(trial_fn, points, trials, base_seed, workers)
-        rows += [{"system": system, "nb": n_b, "rate_bits": rate_fn(n_b),
-                  "p_semantic": agg.p_semantic,
-                  "p_semantic_se": agg.proportion_se(agg.p_semantic)}
-                 for n_b, agg in zip(RATE_SWEEP_NB, aggs)]
+    """Rate-vs-semantic-error rows at RATE_SWEEP_SNR_DB, both systems in one batch."""
+    rows = [{"system": system, "nb": n_b, "rate_bits": rate_fn(n_b)}
+            for system, rate_fn in (("semantic", baseline.semantic_rate_bits),
+                                    ("traditional", baseline.traditional_rate_bits))
+            for n_b in RATE_SWEEP_NB]
+    aggs = _run_points([(_trial_fn(row["system"]), row["nb"], RATE_SWEEP_SNR_DB)
+                        for row in rows], trials, base_seed, workers)
+    for row, agg in zip(rows, aggs):
+        row.update(p_semantic=agg.p_semantic, p_semantic_se=agg.proportion_se(agg.p_semantic))
     return rows
 
 

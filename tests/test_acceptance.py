@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from semcom import baseline, cspace, encoder, funcomp, harness, phy, scenegen
-from semcom.errors import SemcomError
+from semcom.errors import DegenerateHueError, DegenerateSceneError, DegenerateShapeError
 
 with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "golden", "criteria.txt")) as f:
@@ -31,10 +31,11 @@ def verdict(report, number, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def semantic_15db():
-    """Semantic trials at 15 dB for n_b 8 and 2 in one trial-major run, so
-    criteria 4 and 6 fit each scene once."""
-    return harness._run_points(harness.run_trial, [(8, 15.0), (2, 15.0)], 10_000, 0,
+def trials_15db():
+    """Semantic trials at 15 dB for n_b 8 and 2, and pixel trials at n_b 2, in
+    one trial-major run, so criteria 4 and 6 draw and render each scene once."""
+    return harness._run_points([(harness.run_trial, 8, 15.0), (harness.run_trial, 2, 15.0),
+                                (harness.run_traditional_trial, 2, 15.0)], 10_000, 0,
                                workers=WORKERS)
 
 
@@ -84,9 +85,9 @@ def test_criterion_3_channel_ber(criterion_report):
             ok, f"BER deviations {', '.join(details)} (max {worst:.2f}se)")
 
 
-def test_criterion_4_semantic_vs_syntactic_gap(criterion_report, semantic_15db):
+def test_criterion_4_semantic_vs_syntactic_gap(criterion_report, trials_15db):
     """At 15 dB / n_b=8 syntactic errors are frequent, semantic errors rare."""
-    agg = semantic_15db[0]
+    agg = trials_15db[0]
     ok = (agg.p_syntactic >= 0.1
           and agg.p_syntactic >= 2.0 * agg.p_semantic)
     verdict(criterion_report, 4,
@@ -97,8 +98,9 @@ def test_criterion_4_semantic_vs_syntactic_gap(criterion_report, semantic_15db):
 def test_criterion_5_distortion_floor(criterion_report):
     """High-SNR distortion equals the noiseless floor within 3 SE, and > 0."""
     # both points in one trial-major run, so each scene is fitted once
-    high, clean = harness._run_points(harness.run_trial, [(8, 30.0), (8, None)],
-                                      3_000, 0, workers=WORKERS)
+    high, clean = harness._run_points([(harness.run_trial, 8, 30.0),
+                                       (harness.run_trial, 8, None)], 3_000, 0,
+                                      workers=WORKERS)
     diff = high.mean_distortion - clean.mean_distortion
     se = math.hypot(high.distortion_se, clean.distortion_se)
     ok = abs(diff) <= 3.0 * se and high.mean_distortion > 0.0
@@ -108,11 +110,9 @@ def test_criterion_5_distortion_floor(criterion_report):
                 f"3se={3 * se:.2g})")
 
 
-def test_criterion_6_low_rate_ordering(criterion_report, semantic_15db):
+def test_criterion_6_low_rate_ordering(criterion_report, trials_15db):
     """At 15 dB and n_b=2 the semantic system beats pixel transmission."""
-    semantic = semantic_15db[1]
-    traditional = harness.run_trials("traditional", 2, 15.0, 10_000, 0,
-                                     workers=WORKERS)
+    semantic, traditional = trials_15db[1:]
     ok = semantic.p_semantic < traditional.p_semantic
     verdict(criterion_report, 6,
             ok, f"nb=2 15dB semantic {semantic.p_semantic:.4f} < "
@@ -225,7 +225,8 @@ def _encoder_floor_error(case: tuple[int, int]) -> bool:
     img = harness._scene(label, rng)
     try:
         point = encoder.encode(img)
-    except SemcomError:  # a degenerate scene; any other error is a bug
+    except (DegenerateSceneError, DegenerateShapeError, DegenerateHueError):
+        # a degenerate scene; any other error is a bug and fails the test
         return True
     return cspace.decode_concept(point).label != label
 

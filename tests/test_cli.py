@@ -347,6 +347,13 @@ class TestFuncomp:
             self.write_spec(tmp_path, ["element,output,probability"]), capsys)
         assert "domain is empty" in err
 
+    def test_classes_long_line(self, tmp_path, capsys):
+        # a field past the header, such as a probability the header forgot
+        for rows, line in ((["element,output", "a,0", "b,1,extra"], 3),
+                           (["element,output,probability", "a,0,0.5,0.5", "b,1,0.5"], 2)):
+            err = self.assert_one_error_line(self.write_spec(tmp_path, rows), capsys)
+            assert f"line {line} " in err
+
     def test_classes_repeated_element(self, tmp_path, capsys):
         for rows in (["element,output", "a,0", "b,1", "a,1"],
                      ["element,output,probability", "a,0,0.5", "b,1,0.25", "a,1,0.25"]):

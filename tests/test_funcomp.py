@@ -151,6 +151,14 @@ class TestRateSearch:
         assert result.minimal_n_b == 1
         assert len(result.points) == 3
 
+    def test_a_mean_equal_to_the_threshold_is_feasible(self):
+        first = funcomp.semantic_rate_search(1e-9, snr_db=None, trials=10, max_n_b=3)
+        tau = first.points[2].mean_distortion
+        result = funcomp.semantic_rate_search(tau, snr_db=None, trials=10, max_n_b=3)
+        assert result.points[2].mean_distortion == tau
+        assert result.points[2].feasible
+        assert result.minimal_n_b <= 3
+
     def test_impossible_threshold_infeasible(self):
         # far below the encoder floor, no resolution can reach it
         result = funcomp.semantic_rate_search(1e-9, snr_db=None, trials=20,

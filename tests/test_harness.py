@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from semcom import cspace, encoder, harness, phy, scenegen
-from semcom.errors import DegenerateSceneError, InvalidParameterError
+from semcom.errors import (DegenerateHueError, DegenerateSceneError, DegenerateShapeError,
+                           InvalidParameterError, MalformedPacketError)
 
 
 def set_cpus(monkeypatch, n):
@@ -96,6 +97,27 @@ class TestRunTrial:
         scenegen.render(scenegen.sample_spec("red-octagon", scene_only), scene_only)
         assert rng.bit_generator.state == scene_only.bit_generator.state
 
+    @pytest.mark.parametrize("error", [DegenerateSceneError, DegenerateShapeError,
+                                       DegenerateHueError])
+    @pytest.mark.parametrize("trial_fn", [harness.run_trial, harness.run_traditional_trial])
+    def test_a_degenerate_scene_is_a_degenerate_trial(self, trial_fn, error, monkeypatch):
+        def give_up(img):
+            raise error("cannot encode")
+
+        monkeypatch.setattr(encoder, "encode", give_up)
+        rec = trial_fn("red-octagon", 8, 10.0, harness.trial_rng(4, 0))
+        assert rec.degenerate and math.isnan(rec.distortion)
+
+    @pytest.mark.parametrize("error", [InvalidParameterError, MalformedPacketError])
+    @pytest.mark.parametrize("trial_fn", [harness.run_trial, harness.run_traditional_trial])
+    def test_any_other_encoder_error_propagates(self, trial_fn, error, monkeypatch):
+        def broken(img):
+            raise error("a bug in the encoder")
+
+        monkeypatch.setattr(encoder, "encode", broken)
+        with pytest.raises(error, match="a bug in the encoder"):
+            trial_fn("red-octagon", 8, 10.0, harness.trial_rng(4, 0))
+
 
 class TestTraditionalTrial:
     def test_noiseless_decodes_correctly(self):
@@ -162,6 +184,10 @@ class TestRunTrials:
         with pytest.raises(InvalidParameterError, match="no positive finite linear SNR"):
             harness.ExperimentConfig(snr_db_list=(0.0, None, math.nan))
 
+    def test_config_refuses_an_empty_snr_list(self):
+        with pytest.raises(InvalidParameterError, match="at least one point"):
+            harness.ExperimentConfig(snr_db_list=())
+
     @pytest.mark.parametrize("snr_db", [math.nan, 1e6])
     def test_refuses_a_bad_snr_before_any_trial(self, snr_db, monkeypatch):
         def no_trial(*args):
@@ -213,27 +239,34 @@ class TestRunTrials:
         assert pool_sizes == [2]
 
 
-TRIAL_FNS = pytest.mark.parametrize("system,trial_fn", [
-    ("semantic", harness.run_trial),
-    ("traditional", harness.run_traditional_trial)], ids=["semantic", "traditional"])
+SYSTEMS = pytest.mark.parametrize("system", ["semantic", "traditional", "mixed"])
+
+
+def batch(system, *pairs):
+    """(trial_fn, n_b, snr_db) points for (n_b, snr_db) pairs: all of one
+    system, or the two systems in turn when mixed."""
+    fns = {"semantic": [harness.run_trial],
+           "traditional": [harness.run_traditional_trial],
+           "mixed": [harness.run_trial, harness.run_traditional_trial]}[system]
+    return [(fns[k % len(fns)], n_b, snr_db) for k, (n_b, snr_db) in enumerate(pairs)]
 
 
 class TestRunPoints:
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @TRIAL_FNS
-    def test_equals_run_trials_point_by_point(self, system, trial_fn, workers,
-                                              pool_sizes):
+    @SYSTEMS
+    def test_equals_run_trials_point_by_point(self, system, workers, pool_sizes):
         # 7 trials over 2 or 3 workers leave uneven chunks
-        points = [(2, 5.0), (5, 5.0), (8, 5.0)]
-        aggs = harness._run_points(trial_fn, points, 7, 2, workers)
+        points = batch(system, (2, 5.0), (5, 5.0), (8, 5.0))
+        aggs = harness._run_points(points, 7, 2, workers)
         assert pool_sizes == ([workers] if workers > 1 else [])
-        assert aggs == [harness.run_trials(system, n_b, snr_db, 7, 2)
-                        for n_b, snr_db in points]
+        assert aggs == [harness.run_trials(
+            "semantic" if trial_fn is harness.run_trial else "traditional",
+            n_b, snr_db, 7, 2) for trial_fn, n_b, snr_db in points]
 
     @pytest.mark.parametrize("workers", [2, 3])
-    @TRIAL_FNS
+    @SYSTEMS
     def test_several_ragged_chunks_per_worker_equal_the_serial_run(
-            self, system, trial_fn, workers, monkeypatch):
+            self, system, workers, monkeypatch):
         set_cpus(monkeypatch, 4)
         chunks = []
 
@@ -243,19 +276,19 @@ class TestRunPoints:
                 return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
-        points = [(8, 5.0), (2, 10.0)]
-        aggs = harness._run_points(trial_fn, points, 17, 3, workers)
+        points = batch(system, (8, 5.0), (2, 10.0))
+        aggs = harness._run_points(points, 17, 3, workers)
         [chunk] = chunks
         assert 17 % chunk and math.ceil(17 / chunk) >= 2 * workers
-        assert aggs == harness._run_points(trial_fn, points, 17, 3, 1)
+        assert aggs == harness._run_points(points, 17, 3, 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @TRIAL_FNS
-    def test_equals_fresh_trials_at_each_point(self, system, trial_fn, workers):
+    @SYSTEMS
+    def test_equals_fresh_trials_at_each_point(self, system, workers):
         # the reference draws and renders every (trial, point) from scratch
-        points = [(8, 5.0), (2, 10.0), (8, 15.0)]
-        aggs = harness._run_points(trial_fn, points, 6, 4, workers)
-        for (n_b, snr_db), agg in zip(points, aggs):
+        points = batch(system, (8, 5.0), (2, 10.0), (8, 15.0))
+        aggs = harness._run_points(points, 6, 4, workers)
+        for (trial_fn, n_b, snr_db), agg in zip(points, aggs):
             ref = harness.Aggregate()
             for i in range(6):
                 concept, rng = harness.draw_trial(4, i)
@@ -265,23 +298,41 @@ class TestRunPoints:
             assert agg == ref
         assert sum(agg.syntactic_errors for agg in aggs) > 0  # the channel drew noise
 
-    @TRIAL_FNS
+    @SYSTEMS
     def test_renders_each_scene_once_and_encodes_it_at_each_point(
-            self, system, trial_fn, monkeypatch):
-        calls = Counter()
-
-        def count(module, name):
-            fn = getattr(module, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-            monkeypatch.setattr(module, name, counted)
-
-        count(scenegen, "render")
-        count(encoder, "encode")
-        harness._run_points(trial_fn, [(8, 10.0), (2, 10.0), (8, None)], 5, 1)
+            self, system, monkeypatch):
+        calls = count_calls(monkeypatch)
+        harness._run_points(batch(system, (8, 10.0), (2, 10.0), (8, None)), 5, 1)
         assert calls == {"render": 5, "encode": 15}
+
+    @pytest.mark.parametrize("points,trials,workers", [
+        ([], 2, 1),
+        (batch("mixed", (8, None)), 0, 1),
+        (batch("mixed", (8, None)), 2, 0),
+        (batch("mixed", (8, None), (17, None)), 2, 1),
+        (batch("mixed", (8, None), (0, None)), 2, 1),
+        (batch("mixed", (8, None), (8, math.nan)), 2, 1),
+        (batch("mixed", (8, None), (8, 1e6)), 2, 1)],
+        ids=["no-points", "no-trials", "no-workers", "n_b-17", "n_b-0", "snr-nan",
+             "snr-1e6"])
+    def test_refuses_a_batch_before_the_first_draw(self, points, trials, workers,
+                                                   monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial was drawn")
+        monkeypatch.setattr(harness, "draw_trial", no_trial)
+        with pytest.raises(InvalidParameterError):
+            harness._run_points(points, trials, 0, workers)
+
+
+def count_calls(monkeypatch):
+    """Counts of scenegen.render and encoder.encode calls made in this process."""
+    calls = Counter()
+    for module, name in ((scenegen, "render"), (encoder, "encode")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestSweeps:
@@ -293,10 +344,15 @@ class TestSweeps:
         assert list(rows[0]) == harness.SNR_SWEEP_HEADER.split(",")
         assert rows[0]["p_syntactic"] >= rows[1]["p_syntactic"]
 
-    def test_rate_sweep_is_one_pool_per_system(self, pool_sizes):
+    def test_rate_sweep_is_one_pool_for_both_systems(self, pool_sizes):
         rows = harness.sweep_rate(3, 1, workers=2)
-        assert pool_sizes == [2, 2]
+        assert pool_sizes == [2]
         assert rows == harness.sweep_rate(3, 1, workers=1)
+
+    def test_rate_sweep_renders_each_scene_once_for_both_systems(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        harness.sweep_rate(3, 1)
+        assert calls == {"render": 3, "encode": 3 * 2 * len(harness.RATE_SWEEP_NB)}
 
     def test_rate_sweep_rows(self):
         rows = harness.sweep_rate(2, 1)

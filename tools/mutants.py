@@ -32,6 +32,9 @@ PHY = "src/semcom/phy.py"
 ENCODER = "src/semcom/encoder.py"
 SCENEGEN = "src/semcom/scenegen.py"
 CLI = "src/semcom/cli.py"
+HARNESS = "src/semcom/harness.py"
+FUNCOMP = "src/semcom/funcomp.py"
+CSPACE = "src/semcom/cspace.py"
 ORACLE = ("tests/test_link_oracle.py",)
 CRITERION_3 = ("tests/test_acceptance.py::test_criterion_3_channel_ber",)
 CHANNEL = ("tests/test_phy.py::TestChannelReference",)
@@ -43,6 +46,10 @@ FIT = ("tests/test_encoder.py::TestFitShapeReference",)
 SECTORS = ("tests/test_encoder.py::TestSectorCheck",)
 PPM = ("tests/test_scenegen.py::TestPpm",)
 REPEATED = ("tests/test_cli.py", "-k", "repeated")
+LONG_LINE = ("tests/test_cli.py", "-k", "long_line")
+RUN_POINTS = ("tests/test_harness.py::TestRunPoints",)
+ENCODER_ERROR = ("tests/test_harness.py", "-k", "encoder_error")
+THRESHOLD = ("tests/test_funcomp.py", "-k", "equal_to_the_threshold")
 
 BPSK_MAP = "np.subtract(1.0, np.multiply(flat[lo:lo + _BLOCK], 2.0, out=y), out=y)"
 NOISE = "math.sqrt(0.5 / _linear_snr(params.snr_db))"
@@ -79,6 +86,11 @@ REPEAT_CHECK = """\
                     raise InvalidParameterError(
                         f"{args.spec}: element {x!r} repeated on line {reader.line_num}")
 """
+REWIND = """\
+        if k:
+            rng.bit_generator.state = after_render
+"""
+DEGENERATE = "except (DegenerateSceneError, DegenerateShapeError, DegenerateHueError):"
 LARGEST = "root == np.bincount(root, weights=lengths).argmax()"
 LAST_LARGEST = "root == (lambda c: c.size - 1 - c[::-1].argmax())(np.bincount(root, weights=lengths))"
 
@@ -136,6 +148,15 @@ MUTANTS = [
     # the readers of a user's file
     ("PPM comments read as tokens", SCENEGEN, PPM_TOKENS, r'rb"(\S+)"', PPM),
     ("repeated CSV element overwrites", CLI, REPEAT_CHECK, "", REPEATED),
+    ("long CSV row accepted", CLI, " or None in row:", ":", LONG_LINE),
+    # the trial pipeline and the rate search
+    ("stream not rewound between points", HARNESS, REWIND, "", RUN_POINTS),
+    ("every SemcomError counted as degenerate", HARNESS, DEGENERATE,
+     "except InvalidParameterError.__base__:  # SemcomError", ENCODER_ERROR),
+    ("threshold met only strictly", FUNCOMP, "agg.mean_distortion <= tau)",
+     "agg.mean_distortion < tau)", THRESHOLD),
+    ("hue distance not wrapped", CSPACE, "return min(d, 1.0 - d)", "return d",
+     ("tests/test_cspace.py",)),
 ]
 
 
