@@ -133,11 +133,11 @@ def cmd_funcomp_classes(args) -> int:
                 raise InvalidParameterError(
                     f"{args.spec}: needs the columns element,output")
             for row in reader:
-                x = row["element"]
                 # missing fields read as None, and surplus fields under the key None
-                if x is None or row["output"] is None or None in row:
+                if None in row.values() or None in row:
                     raise InvalidParameterError(
                         f"{args.spec}: line {reader.line_num} does not match the header")
+                x = row["element"]
                 if x in mapping:
                     raise InvalidParameterError(
                         f"{args.spec}: element {x!r} repeated on line {reader.line_num}")

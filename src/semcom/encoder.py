@@ -461,9 +461,26 @@ def estimate_shape_ratio(mask: np.ndarray) -> float:
 
 
 def encode(img: np.ndarray) -> SemanticPoint:
-    """Full embedding: segment, then color and shape estimation."""
-    hsv = image_hsv(img)
-    mask = segment(hsv[1])
-    hue, sat, val = estimate_color(hsv, mask)
+    """Full embedding: segment, then color and shape estimation.
+
+    The front end (HSV conversion, segmentation and colour estimate)
+    depends on the image's content alone, so the last image's mask and
+    colour are kept, keyed on its shape and float bytes: an image encoded
+    again straight after itself (the rate search sends each render through
+    every n_b in a row) skips them. One entry is enough for those repeats,
+    and a refused image takes none, so it is refused afresh on every call.
+    The shape estimate goes through fit_shape, and its memo, on every call.
+    """
+    img = np.asarray(img, dtype=float)
+    mask, hue, sat, val = _front_end(img.shape, img.tobytes())
     ratio = estimate_shape_ratio(mask)
     return SemanticPoint(ratio, hue, min(sat, 1.0), min(val, 1.0))
+
+
+@functools.lru_cache(maxsize=1)
+def _front_end(shape: tuple[int, ...], raw: bytes) -> tuple[np.ndarray, float, float, float]:
+    """The foreground mask, read-only, and the colour of an image's bytes."""
+    hsv = image_hsv(np.frombuffer(raw).reshape(shape))
+    mask = segment(hsv[1])
+    mask.flags.writeable = False
+    return (mask, *estimate_color(hsv, mask))

@@ -338,6 +338,9 @@ class TestFuncomp:
     def test_classes_short_line_and_undecodable_file(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, ["output,element", "0,a", "1"])
         self.assert_one_error_line(spec, capsys)
+        # a row that stops before the probability column
+        spec = self.write_spec(tmp_path, ["element,output,probability", "a,0", "b,1"])
+        assert "line 2 " in self.assert_one_error_line(spec, capsys)
         with open(spec, "wb") as f:
             f.write(b"\xff\xfe\x00element,output\n")
         self.assert_one_error_line(spec, capsys)

@@ -683,6 +683,7 @@ class TestConvexityWitness:
     @given(any_mask)
     @example(np.pad(np.ones((9, 9), dtype=bool), 8))  # a square: no pixel inside
     @example(np.pad(np.eye(21, dtype=bool) | np.eye(21, dtype=bool)[::-1], 2))
+    @example(EDGE_MASKS[0].T.copy())  # a gap that only its column shows
     @settings(max_examples=40, deadline=None)
     def test_arbitrary_masks(self, mask):
         self.check(mask)
@@ -851,6 +852,87 @@ class TestFitShapeMemo:
         info = encoder._fit_shape_cached.cache_info()
         assert info.misses == 2 * encoder.FIT_CACHE_SIZE
         assert info.currsize == encoder.FIT_CACHE_SIZE
+
+
+def unmemoized_encode(img):
+    """encode's pipeline with neither memo: its point, or its refusal."""
+    try:
+        hsv = scenegen.image_hsv(img)
+        mask = encoder.segment(hsv[1])
+        hue, sat, val = encoder.estimate_color(hsv, mask)
+        ratio = cspace.polygon_ratio(encoder._fit_shape(mask)[0])
+    except SemcomError as exc:
+        return type(exc), str(exc)
+    return cspace.SemanticPoint(ratio, hue, min(sat, 1.0), min(val, 1.0))
+
+
+def encoded(img):
+    """encoder.encode's point, or its refusal."""
+    try:
+        return encoder.encode(img)
+    except SemcomError as exc:
+        return type(exc), str(exc)
+
+
+def hue_cancelling_image():
+    """A block half red, half cyan: its hues cancel, so encode refuses it."""
+    img = np.full((25, 25, 3), 0.5)
+    img[5:20, 5:12] = (1.0, 0.0, 0.0)
+    img[5:20, 12:19] = (0.0, 1.0, 1.0)
+    return img
+
+
+@pytest.fixture
+def empty_front_end():
+    encoder._front_end.cache_clear()
+    yield
+    encoder._front_end.cache_clear()
+
+
+@pytest.mark.usefixtures("empty_front_end")
+class TestEncodeMemo:
+    """encode's memo of the last image's mask and colour changes no result."""
+
+    def test_equals_unmemoized_pipeline(self):
+        images = [img for _, img in seeded_images()]
+        points = 0
+        for img in images:
+            expected = unmemoized_encode(img)
+            assert encoded(img) == expected
+            assert encoded(img) == expected  # a hit when the first gave a point
+            points += isinstance(expected, cspace.SemanticPoint)
+        assert points > len(images) // 2
+        assert encoder._front_end.cache_info().hits >= points
+
+    def test_caller_changing_its_array_in_place(self):
+        rng = harness.trial_rng(11, 0)
+        img = scenegen.render(scenegen.sample_spec("red-circle", rng), rng)
+        first = encoder.encode(img)
+        img[:] = scenegen.render(scenegen.sample_spec("yellow-square", rng), rng)
+        assert encoded(img) == unmemoized_encode(img) != first
+
+    def test_same_bytes_different_shape_are_not_confused(self):
+        rng = harness.trial_rng(3, 0)
+        img = scenegen.render(scenegen.sample_spec("blue-circle", rng), rng)
+        rows = img.reshape(5, 125, 3)  # five rows of the image end to end
+        assert img.tobytes() == rows.tobytes()
+        first = encoder.encode(img)
+        assert encoded(rows) == unmemoized_encode(rows) != first
+        assert encoded(img) == first
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: np.full((25, 25, 3), 0.5), DegenerateSceneError),
+        (hue_cancelling_image, DegenerateHueError),
+    ], ids=["gray", "hues cancel"])
+    def test_refused_image_is_refused_on_every_call(self, make, error):
+        rng = harness.trial_rng(5, 0)
+        encoder.encode(scenegen.render(scenegen.sample_spec("red-circle", rng), rng))
+        img = make()
+        for misses in (2, 3):
+            with pytest.raises(error):
+                encoder.encode(img)
+            info = encoder._front_end.cache_info()
+            assert info.currsize == 1 and info.misses == misses and info.hits == 0
 
 
 def reference_sector_occupancy(mask):

@@ -11,12 +11,15 @@ and says in the change log why they moved.
 """
 
 import contextlib
+import importlib
 import io
 import os
+import subprocess
 import sys
 
 import pytest
 
+import semcom
 from semcom import funcomp, harness
 from semcom.cli import main
 
@@ -62,9 +65,12 @@ def _sweep_snr_stdout(tmp_dir) -> str:
                         "--nb", "4", "--snr-db", "0,none"])
 
 
+RATE_SEARCH_ARGS = ["funcomp", "rate-search", "--tau", "0.01", "--snr", "10",
+                    "--trials", "10", "--seed", str(SEED)]
+
+
 def _rate_search_stdout(tmp_dir) -> str:
-    return _cli_stdout(["funcomp", "rate-search", "--tau", "0.01", "--snr", "10",
-                        "--trials", "10", "--seed", str(SEED)])
+    return _cli_stdout(RATE_SEARCH_ARGS)
 
 
 def _plot_data(tmp_dir) -> str:
@@ -86,11 +92,59 @@ CASES = {
 }
 
 
+def _golden(name) -> str:
+    with open(os.path.join(GOLDEN_DIR, name)) as f:
+        return f.read()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_golden(name, tmp_path):
-    with open(os.path.join(GOLDEN_DIR, name)) as f:
-        expected = f.read()
-    assert CASES[name](str(tmp_path)) == expected
+    assert CASES[name](str(tmp_path)) == _golden(name)
+
+
+def _cpu_baseline():
+    """(module name, features) of numpy's compiled SIMD baseline, or None
+    where this numpy does not report one."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            baseline = getattr(importlib.import_module(name), "__cpu_baseline__", None)
+        except ImportError:
+            continue
+        if baseline:
+            return name, baseline
+    return None
+
+
+#: Runs the CLI after checking that numpy dispatches to no SIMD target
+#: past its baseline; argv is the module that reports the targets, then
+#: the CLI's arguments.
+_BASELINE_ONLY_CLI = """\
+import importlib, sys
+cpu = importlib.import_module(sys.argv[1])
+on = [f for f in cpu.__cpu_dispatch__ if cpu.__cpu_features__.get(f)]
+assert not on, f"dispatch still reaches {on}"
+from semcom.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_rate_search_stdout_on_the_simd_baseline_alone():
+    """The golden bytes do not depend on numpy's SIMD dispatch: the
+    rate-search case gives them with only the compiled baseline enabled,
+    as on a CPU with no extension past it."""
+    found = _cpu_baseline()
+    if found is None:
+        pytest.skip("this numpy reports no SIMD baseline")
+    module, baseline = found
+    paths = [os.path.dirname(os.path.dirname(os.path.abspath(semcom.__file__))),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=" ".join(baseline),
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", _BASELINE_ONLY_CLI, module,
+                           *RATE_SEARCH_ARGS], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == _golden("rate_search_stdout.txt")
 
 
 if __name__ == "__main__":

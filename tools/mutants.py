@@ -47,6 +47,8 @@ SECTORS = ("tests/test_encoder.py::TestSectorCheck",)
 PPM = ("tests/test_scenegen.py::TestPpm",)
 REPEATED = ("tests/test_cli.py", "-k", "repeated")
 LONG_LINE = ("tests/test_cli.py", "-k", "long_line")
+SHORT_LINE = ("tests/test_cli.py", "-k", "short_line")
+ENCODE_MEMO = ("tests/test_encoder.py::TestEncodeMemo",)
 RUN_POINTS = ("tests/test_harness.py::TestRunPoints",)
 ENCODER_ERROR = ("tests/test_harness.py", "-k", "encoder_error")
 THRESHOLD = ("tests/test_funcomp.py", "-k", "equal_to_the_threshold")
@@ -93,6 +95,18 @@ REWIND = """\
 DEGENERATE = "except (DegenerateSceneError, DegenerateShapeError, DegenerateHueError):"
 LARGEST = "root == np.bincount(root, weights=lengths).argmax()"
 LAST_LARGEST = "root == (lambda c: c.size - 1 - c[::-1].argmax())(np.bincount(root, weights=lengths))"
+FRONT_END_KEY = "_front_end(img.shape, img.tobytes())"
+
+
+def equal_to_anything(base: str, expr: str) -> str:
+    """Source of ``expr`` as a ``base`` that hashes to 0 and equals every value,
+    so a memo key built of it matches any other key in that place."""
+    return (f'type("Any", ({base},), {{"__eq__": lambda a, b: True, '
+            f'"__hash__": lambda a: 0}})({expr})')
+
+
+ANY_SHAPE = equal_to_anything("tuple", "img.shape")
+
 
 #: (name, file, old text, new text, pytest arguments)
 MUTANTS = [
@@ -145,10 +159,17 @@ MUTANTS = [
      "_sector_occupancy(angles[mask.ravel()])", SECTORS),
     ("refused at exactly the minimum", ENCODER, ") < MIN_NONEMPTY_SECTORS:",
      ") <= MIN_NONEMPTY_SECTORS:", SECTORS),
+    # the memo of the last image's mask and colour
+    ("memo key without the shape", ENCODER, FRONT_END_KEY,
+     f"_front_end({ANY_SHAPE}, img.tobytes())", ENCODE_MEMO),
+    ("memo ignores the key", ENCODER, FRONT_END_KEY,
+     f"_front_end({ANY_SHAPE}, {equal_to_anything('bytes', 'img.tobytes()')})",
+     ENCODE_MEMO),
     # the readers of a user's file
     ("PPM comments read as tokens", SCENEGEN, PPM_TOKENS, r'rb"(\S+)"', PPM),
     ("repeated CSV element overwrites", CLI, REPEAT_CHECK, "", REPEATED),
     ("long CSV row accepted", CLI, " or None in row:", ":", LONG_LINE),
+    ("short CSV row accepted", CLI, "if None in row.values() or ", "if ", SHORT_LINE),
     # the trial pipeline and the rate search
     ("stream not rewound between points", HARNESS, REWIND, "", RUN_POINTS),
     ("every SemcomError counted as degenerate", HARNESS, DEGENERATE,
